@@ -14,10 +14,11 @@
 //! reduction under backpressure.
 //!
 //! Usage: `cargo run -p clonos-bench --release --bin bench_barrier`
-//! (`BENCH_BARRIER_SMOKE=1` shrinks the horizon for CI smoke runs.)
+//! (`BENCH_BARRIER_SMOKE=1` shrinks the horizon for CI smoke runs and writes
+//! `target/bench-smoke/BENCH_barrier.json` instead.)
 
 use clonos::config::{ClonosConfig, SharingDepth};
-use clonos_bench::print_table;
+use clonos_bench::{print_table, write_bench_json};
 use clonos_engine::config::CheckpointMode;
 use clonos_engine::operator::OpCtx;
 use clonos_engine::operators::ProcessOp;
@@ -252,6 +253,5 @@ fn main() {
         smoke(),
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_barrier.json", &json).expect("write BENCH_barrier.json");
-    println!("wrote BENCH_barrier.json");
+    write_bench_json("BENCH_barrier.json", smoke(), &json);
 }

@@ -10,13 +10,14 @@
 //! 10^5+ keys.
 //!
 //! Usage: `cargo run -p clonos-bench --release --bin bench_checkpoint`
-//! (`BENCH_CHECKPOINT_SMOKE=1` shrinks sizes/rounds for CI smoke runs.)
+//! (`BENCH_CHECKPOINT_SMOKE=1` shrinks sizes/rounds for CI smoke runs and writes
+//! `target/bench-smoke/BENCH_checkpoint.json` instead.)
 
 // Host-time measurement is this binary's purpose (clippy.toml wall-clock
 // disallow list exempts measurement code explicitly).
 #![allow(clippy::disallowed_methods)]
 
-use clonos_bench::print_table;
+use clonos_bench::{print_table, write_bench_json};
 use clonos_engine::state::StateStore;
 use clonos_engine::{Datum, Row as DataRow};
 use clonos_storage::deltamap;
@@ -209,6 +210,5 @@ fn main() {
         smoke(),
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_checkpoint.json", &json).expect("write BENCH_checkpoint.json");
-    println!("wrote BENCH_checkpoint.json");
+    write_bench_json("BENCH_checkpoint.json", smoke(), &json);
 }

@@ -12,13 +12,14 @@
 //! `BENCH_state.json`.
 //!
 //! Usage: `cargo run -p clonos-bench --release --bin bench_state`
-//! (`BENCH_STATE_SMOKE=1` shrinks scales to {10^4, 10^5} for CI smoke runs.)
+//! (`BENCH_STATE_SMOKE=1` shrinks scales to {10^4, 10^5} for CI smoke runs and writes
+//! `target/bench-smoke/BENCH_state.json` instead.)
 
 // Host-time measurement is this binary's purpose (clippy.toml wall-clock
 // disallow list exempts measurement code explicitly).
 #![allow(clippy::disallowed_methods)]
 
-use clonos_bench::print_table;
+use clonos_bench::{print_table, write_bench_json};
 use clonos_engine::state::StateStore;
 use clonos_engine::{Datum, Row as DataRow};
 use clonos_sim::VirtualTime;
@@ -243,6 +244,5 @@ fn main() {
         smoke(),
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_state.json", &json).expect("write BENCH_state.json");
-    println!("wrote BENCH_state.json");
+    write_bench_json("BENCH_state.json", smoke(), &json);
 }

@@ -13,14 +13,15 @@
 //! Usage: `cargo run -p clonos-bench --release --bin bench_throughput`
 //! (`BENCH_THROUGHPUT_SMOKE=1` shrinks the workload for CI smoke runs and
 //! additionally asserts the parallel record counts match a sim-scheduled
-//! run of the same job.)
+//! run of the same job; it writes `target/bench-smoke/BENCH_throughput.json`
+//! instead.)
 
 // Host-time measurement is this binary's purpose (clippy.toml wall-clock
 // disallow list exempts measurement code explicitly).
 #![allow(clippy::disallowed_methods)]
 
 use clonos::config::{ClonosConfig, SharingDepth};
-use clonos_bench::{print_table, synthetic_chain, synthetic_rows};
+use clonos_bench::{print_table, synthetic_chain, synthetic_rows, write_bench_json};
 use clonos_engine::operators::ReduceOp;
 use clonos_engine::*;
 use clonos_sim::VirtualDuration;
@@ -289,6 +290,5 @@ fn main() {
         rows_total(),
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_throughput.json", &json).expect("write BENCH_throughput.json");
-    println!("\nwrote BENCH_throughput.json");
+    write_bench_json("BENCH_throughput.json", smoke(), &json);
 }

@@ -245,3 +245,18 @@ pub fn mean_rate(report: &RunReport, from_s: u64, to_s: u64) -> f64 {
         pts.iter().sum::<f64>() / pts.len() as f64
     }
 }
+
+/// Write a bench's JSON ledger. A full run writes `name` (a committed
+/// `BENCH_*.json`) in the working directory; a smoke run writes
+/// `target/bench-smoke/<name>` so it never overwrites committed figures.
+pub fn write_bench_json(name: &str, smoke: bool, json: &str) {
+    let path = if smoke {
+        let dir = std::path::Path::new("target/bench-smoke");
+        std::fs::create_dir_all(dir).expect("create target/bench-smoke");
+        dir.join(name)
+    } else {
+        std::path::PathBuf::from(name)
+    };
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
+}

@@ -4,65 +4,38 @@
 //! The job manager implements:
 //! - the **checkpoint coordinator** (periodic barrier injection, ack
 //!   collection, completion broadcast, snapshot GC, standby state dispatch —
-//!   §6.4);
+//!   §6.4), in `JobManager` (`jm.rs`): `jm_handle` drives it under the sim
+//!   scheduler, and coordinator cell 0 of the threaded runtime drives the
+//!   same value, so both schedulers dispatch standby state and record the
+//!   barrier chain;
 //! - **failure detection** (connection-reset propagation for Clonos,
 //!   heartbeat-timeout for the baseline);
 //! - the **recovery orchestration**: Figure-4 analysis, standby activation,
 //!   determinant-log gathering from downstream survivors, and dispatch of
 //!   `BeginReplay` — or a stop-the-world `RestartAll` for the baseline and
-//!   for Clonos' orphan fallback.
+//!   for Clonos' orphan fallback. These handlers live here, on the
+//!   job manager's state, because they rebuild and replace tasks.
 
 use crate::config::{EngineConfig, FtMode};
 use crate::error::EngineError;
 use crate::graph::{ExecutionGraph, JobGraph, Partitioning, VertexKind};
+use crate::jm::{JmCtx, JobManager, LogGather};
 use crate::messages::Msg;
 use crate::metrics::JobMetrics;
 use crate::task::{encode_abort_marker, Task, TaskCtx, TaskSnapshot};
 use bytes::Bytes;
 use clonos::causal_log::TaskLogSnapshot;
 use clonos::recovery::{analyze_failure, RecoveryDecision};
-use clonos::standby::{AllocationStrategy, StandbyManager};
+use clonos::standby::AllocationStrategy;
 use clonos::{ChannelId, TaskId};
 use clonos_sim::{Link, SimRng, Simulation, VirtualDuration, VirtualTime};
 use clonos_storage::external::ExternalKv;
 use clonos_storage::log::DurableLog;
-use clonos_storage::snapshot::{SnapshotBlob, SnapshotStore, TransferModel};
+use clonos_storage::snapshot::{SnapshotStore, TransferModel};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Job-manager actor id.
 pub const JM: TaskId = 0;
-
-/// Gathering state for one recovering task's determinant logs.
-#[derive(Debug, Default)]
-struct LogGather {
-    /// Unique id: stale `LogResponse`s from a superseded gather (e.g. the
-    /// previous recovery attempt of a re-failed task) are discarded by it.
-    id: u64,
-    expected: BTreeSet<TaskId>,
-    snapshot: TaskLogSnapshot,
-    /// (reporter, reporter's input channel) → received-buffer count.
-    counts: BTreeMap<(TaskId, ChannelId), u64>,
-    resume_cp: u64,
-    state: Bytes,
-    /// Retry rounds already spent on this gather.
-    attempts: u32,
-}
-
-#[derive(Debug, Default)]
-struct JmState {
-    next_cp: u64,
-    last_completed: u64,
-    /// cp id → acked task set.
-    pending: BTreeMap<u64, BTreeSet<TaskId>>,
-    /// Tasks currently dead or mid-recovery (for the Figure-4 analysis).
-    failed: BTreeSet<TaskId>,
-    /// Tasks whose determinant replay has not finished yet.
-    recovering: BTreeSet<TaskId>,
-    gathers: BTreeMap<TaskId, LogGather>,
-    gather_seq: u64,
-    rollback_scheduled: bool,
-    standby: StandbyManager,
-}
 
 /// The simulated cluster.
 pub struct Cluster {
@@ -83,7 +56,7 @@ pub struct Cluster {
     /// Task → hosting node (round-robin placement; standbys anti-affine).
     nodes: BTreeMap<TaskId, u32>,
     gens: BTreeMap<TaskId, u32>,
-    jm: JmState,
+    pub(crate) jm: JobManager,
     depth: u32,
     /// Encoder counters of retired task incarnations (killed, rolled back,
     /// or replaced): folded in before the `Task` object is dropped so
@@ -100,6 +73,7 @@ impl Cluster {
     pub fn new(job: JobGraph, config: EngineConfig) -> Cluster {
         let graph = ExecutionGraph::expand(&job, 1);
         let depth = graph.depth();
+        let jm = JobManager::new(&graph);
         let root = SimRng::new(config.seed);
         let mut cluster = Cluster {
             sim: Simulation::new(),
@@ -115,7 +89,7 @@ impl Cluster {
             tasks: BTreeMap::new(),
             nodes: BTreeMap::new(),
             gens: BTreeMap::new(),
-            jm: JmState::default(),
+            jm,
             depth,
             retired_ckpt: crate::metrics::CheckpointStats::default(),
             retired_backend: crate::metrics::StateBackendStats::default(),
@@ -179,14 +153,8 @@ impl Cluster {
         self.tasks.insert(id, Some(task));
     }
 
-    /// Mirror the coordinator's completed-checkpoint watermark back into the
-    /// JM state after a parallel run.
-    pub(crate) fn set_last_completed(&mut self, cp: u64) {
-        self.jm.last_completed = self.jm.last_completed.max(cp);
-    }
-
     fn deploy(&mut self) {
-        let ids: Vec<TaskId> = self.graph.tasks.iter().map(|t| t.id).collect();
+        let ids = self.jm.tasks.clone();
         let num_nodes = self.config.num_nodes;
         for (i, &id) in ids.iter().enumerate() {
             let task = self.build_task(id, 0);
@@ -233,7 +201,6 @@ impl Cluster {
             links: &mut self.links,
             external: &mut self.external,
             topics: &mut self.topics,
-            snapshots: &mut self.snapshots,
             config: &self.config,
             entropy: &mut self.entropy,
             metrics: &mut self.metrics,
@@ -408,10 +375,16 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     fn jm_handle(&mut self, msg: Msg) {
+        let mut ctx = JmCtx {
+            sched: &mut self.sim,
+            snapshots: &mut self.snapshots,
+            metrics: &mut self.metrics,
+            config: &self.config,
+        };
         match msg {
-            Msg::CheckpointTick => self.jm_checkpoint_tick(),
+            Msg::CheckpointTick => self.jm.checkpoint_tick(&mut ctx),
             Msg::CheckpointAck { task, id, snapshot, delta_parent, segments } => {
-                self.jm_ack(task, id, snapshot, delta_parent, segments)
+                self.jm.ack(&mut ctx, task, id, snapshot, delta_parent, segments)
             }
             Msg::FailureDetected { task, gen, killed_at } => {
                 self.jm_failure(task, gen, killed_at)
@@ -431,117 +404,6 @@ impl Cluster {
             Msg::RestartAll => self.jm_restart_all(),
             other => {
                 self.errors.push(format!("job manager received unexpected {other:?}"));
-            }
-        }
-    }
-
-    fn jm_checkpoint_tick(&mut self) {
-        let interval = self.config.checkpoint_interval;
-        self.sim.schedule_in(interval, JM, Msg::CheckpointTick);
-        // Pause triggering while anything is failed or recovering.
-        if !self.jm.failed.is_empty()
-            || !self.jm.recovering.is_empty()
-            || self.jm.rollback_scheduled
-        {
-            return;
-        }
-        self.jm.next_cp += 1;
-        let id = self.jm.next_cp;
-        let now = self.sim.now();
-        self.metrics.event(now, format!("checkpoint {id} triggered"));
-        // Barrier-chain entry: everything checkpoint `id` does is caused by
-        // this trigger.
-        self.metrics.causal_event(now, "TriggerCheckpoint", id, JM, None);
-        self.jm.pending.insert(id, BTreeSet::new());
-        let sources: Vec<TaskId> = self
-            .graph
-            .tasks
-            .iter()
-            .filter(|t| t.inputs.is_empty())
-            .map(|t| t.id)
-            .collect();
-        for s in sources {
-            self.sim.schedule_in(VirtualDuration::from_micros(100), s, Msg::TriggerCheckpoint { id });
-        }
-    }
-
-    fn jm_ack(
-        &mut self,
-        task: TaskId,
-        id: u64,
-        snapshot: Bytes,
-        delta_parent: Option<u64>,
-        segments: Option<Box<crate::messages::SegmentAck>>,
-    ) {
-        let now = self.sim.now();
-        // Tiered backend: register the checkpoint's segment view first, so
-        // a full-image read of this checkpoint can already fold it.
-        if let Some(seg) = segments {
-            self.snapshots.put_segments(id, task, seg.live, seg.sealed);
-        }
-        match delta_parent {
-            Some(parent) => {
-                self.snapshots.put_delta(now, id, task, parent, snapshot);
-            }
-            None => {
-                self.snapshots.put(now, id, task, snapshot);
-            }
-        }
-        let total = self.graph.tasks.len();
-        let Some(acked) = self.jm.pending.get_mut(&id) else { return };
-        acked.insert(task);
-        if acked.len() < total {
-            return;
-        }
-        // Checkpoint complete.
-        self.jm.pending.remove(&id);
-        if id <= self.jm.last_completed {
-            return;
-        }
-        self.jm.last_completed = id;
-        self.metrics.event(now, format!("checkpoint {id} complete"));
-        self.metrics.causal_event(
-            now,
-            "CheckpointComplete",
-            id,
-            JM,
-            Some(crate::metrics::CausalRef { kind: "CheckpointAck", epoch: id, task }),
-        );
-        let ids: Vec<TaskId> = self.graph.tasks.iter().map(|t| t.id).collect();
-        for &t in &ids {
-            self.sim.schedule_in(VirtualDuration::from_micros(100), t, Msg::CheckpointComplete { id });
-        }
-        self.snapshots.truncate_before(id);
-        // Dispatch state to standbys (§6.4): ship only the delta when the
-        // standby already holds the parent image, so the dispatch-time-vs-
-        // checkpoint-interval bound is measured on what actually changed;
-        // otherwise reconstruct and ship the full image.
-        let extra = self.config.synthetic_state_bytes;
-        for &t in &ids {
-            if !self.jm.standby.has_standby(t) {
-                continue;
-            }
-            // Tiered checkpoints: the delta blob covers only resident
-            // sections — value state lives in segments, so a delta-only
-            // ship would under-deliver. Fall back to the full fold.
-            let delta = if self.snapshots.has_segments(id, t) {
-                None
-            } else {
-                match self.snapshots.blob(id, t) {
-                    Some(SnapshotBlob::Delta { parent, bytes }) => Some((*parent, bytes.clone())),
-                    _ => None,
-                }
-            };
-            let shipped = delta.and_then(|(parent, bytes)| {
-                let transfer = TransferModel::default().transfer_time(bytes.len() as u64);
-                self.jm.standby.dispatch_delta(t, id, parent, bytes, now, transfer)
-            });
-            if shipped.is_none() {
-                if let Some((bytes, _)) = self.snapshots.get(now, id, t) {
-                    let transfer =
-                        TransferModel::default().transfer_time(bytes.len() as u64 + extra);
-                    self.jm.standby.dispatch_state(t, id, bytes, now, transfer);
-                }
             }
         }
     }
@@ -942,7 +804,7 @@ impl Cluster {
         }
         self.jm.rollback_scheduled = true;
         // Cancel everything now; redeploy after the restart delay.
-        let ids: Vec<TaskId> = self.graph.tasks.iter().map(|t| t.id).collect();
+        let ids = self.jm.tasks.clone();
         for id in ids {
             let old = self.tasks.insert(id, None).flatten();
             self.retire_ckpt(old);
@@ -965,7 +827,7 @@ impl Cluster {
         self.jm.next_cp = resume_cp;
         // One common new generation for every task.
         let new_gen = self.gens.values().copied().max().unwrap_or(0) + 1;
-        let ids: Vec<TaskId> = self.graph.tasks.iter().map(|t| t.id).collect();
+        let ids = self.jm.tasks.clone();
         // Rollback-chain entry: the per-task `BeginReplay`s below hang off it.
         self.metrics.causal_event(now, "RestartAll", new_gen as u64, JM, None);
 
@@ -1102,19 +964,7 @@ impl Cluster {
     /// accumulator before the `Task` object is dropped.
     fn retire_ckpt(&mut self, old: Option<Task>) {
         let Some(t) = old else { return };
-        let r = &mut self.retired_ckpt;
-        r.full_snapshots += t.ckpt.full_snapshots;
-        r.delta_snapshots += t.ckpt.delta_snapshots;
-        r.full_bytes += t.ckpt.full_bytes;
-        r.delta_bytes += t.ckpt.delta_bytes;
-        r.dirty_entries += t.ckpt.dirty_entries;
-        r.rebases += t.ckpt.rebases;
-        r.alignment_stall_us += t.ckpt.alignment_stall_us;
-        r.channels_blocked_highwater =
-            r.channels_blocked_highwater.max(t.ckpt.channels_blocked_highwater);
-        r.overtaken_records += t.ckpt.overtaken_records;
-        r.overtaken_bytes += t.ckpt.overtaken_bytes;
-        r.unaligned_reinjections += t.ckpt.unaligned_reinjections;
+        self.retired_ckpt.absorb(&t.ckpt);
         self.retired_backend.absorb(&t.backend_stats());
     }
 
@@ -1124,18 +974,7 @@ impl Cluster {
     pub fn checkpoint_stats(&self) -> crate::metrics::CheckpointStats {
         let mut total = self.retired_ckpt;
         for t in self.tasks.values().flatten() {
-            total.full_snapshots += t.ckpt.full_snapshots;
-            total.delta_snapshots += t.ckpt.delta_snapshots;
-            total.full_bytes += t.ckpt.full_bytes;
-            total.delta_bytes += t.ckpt.delta_bytes;
-            total.dirty_entries += t.ckpt.dirty_entries;
-            total.rebases += t.ckpt.rebases;
-            total.alignment_stall_us += t.ckpt.alignment_stall_us;
-            total.channels_blocked_highwater =
-                total.channels_blocked_highwater.max(t.ckpt.channels_blocked_highwater);
-            total.overtaken_records += t.ckpt.overtaken_records;
-            total.overtaken_bytes += t.ckpt.overtaken_bytes;
-            total.unaligned_reinjections += t.ckpt.unaligned_reinjections;
+            total.absorb(&t.ckpt);
         }
         total.reconstructions = self.snapshots.reconstructions();
         total.reconstruct_us = self.snapshots.reconstruct_us();

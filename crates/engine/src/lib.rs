@@ -22,6 +22,7 @@ pub mod cluster;
 pub mod config;
 pub mod error;
 pub mod graph;
+mod jm;
 pub mod messages;
 pub mod metrics;
 pub mod operator;

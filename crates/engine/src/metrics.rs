@@ -114,6 +114,26 @@ pub struct CheckpointStats {
     pub unaligned_reinjections: u64,
 }
 
+impl CheckpointStats {
+    /// Fold another task's encoder counters into this aggregate. The
+    /// store/standby fields (`reconstructions`, `reconstruct_us`,
+    /// `delta_dispatches`) are job-wide and set once by the cluster.
+    pub fn absorb(&mut self, other: &CheckpointStats) {
+        self.full_snapshots += other.full_snapshots;
+        self.delta_snapshots += other.delta_snapshots;
+        self.full_bytes += other.full_bytes;
+        self.delta_bytes += other.delta_bytes;
+        self.dirty_entries += other.dirty_entries;
+        self.rebases += other.rebases;
+        self.alignment_stall_us += other.alignment_stall_us;
+        self.channels_blocked_highwater =
+            self.channels_blocked_highwater.max(other.channels_blocked_highwater);
+        self.overtaken_records += other.overtaken_records;
+        self.overtaken_bytes += other.overtaken_bytes;
+        self.unaligned_reinjections += other.unaligned_reinjections;
+    }
+}
+
 /// Robustness counters for the failure/recovery machinery: how often the
 /// retry ladders fired, how often recovery escalated to a global rollback,
 /// and how overlapped the failures were. Surfaced through `RunReport` so

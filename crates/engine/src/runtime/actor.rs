@@ -6,7 +6,7 @@
 //! only ever mutated under their cell's state lock.
 
 use crate::config::EngineConfig;
-use crate::graph::TaskSpec;
+use crate::jm::{JmCtx, JobManager};
 use crate::messages::Msg;
 use crate::metrics::JobMetrics;
 use crate::task::{Task, TaskCtx};
@@ -14,8 +14,8 @@ use clonos::TaskId;
 use clonos_sim::{ActorId, Link, Scheduler, SimRng, VirtualDuration, VirtualTime};
 use clonos_storage::external::ExternalKv;
 use clonos_storage::log::DurableLog;
-use clonos_storage::snapshot::{SnapshotStore, TransferModel};
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use clonos_storage::snapshot::SnapshotStore;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Mutex;
 
@@ -81,30 +81,58 @@ impl Scheduler<Msg> for ActorSched<'_> {
 /// One task plus its private copies of everything `TaskCtx` borrows.
 pub(crate) struct TaskWorld {
     pub(crate) task: Task,
-    pub(crate) clock: VirtualTime,
-    pub(crate) timers: BinaryHeap<TimerEntry>,
-    pub(crate) seq: u64,
     pub(crate) links: BTreeMap<(TaskId, TaskId), Link>,
     pub(crate) external: ExternalKv,
     pub(crate) topics: BTreeMap<String, DurableLog>,
-    pub(crate) snapshots: SnapshotStore,
     pub(crate) entropy: SimRng,
-    pub(crate) metrics: JobMetrics,
-    pub(crate) errors: Vec<String>,
     /// `(topic, partition, base_offset)` — records this actor appends to its
     /// private sink partition at offsets `>= base_offset` are merged back
     /// into the cluster's shared topic at teardown.
     pub(crate) sink_merge: Option<(String, usize, u64)>,
 }
 
-impl TaskWorld {
+/// The coordinator: the cluster's own job manager and snapshot store, lent
+/// to cell 0 for the run and handed back at teardown.
+pub(crate) struct Coordinator {
+    pub(crate) jm: JobManager,
+    pub(crate) snapshots: SnapshotStore,
+}
+
+pub(crate) enum CellKind {
+    /// Boxed: the variants differ widely in size, and unboxed every
+    /// `CellState` would be as large as the largest.
+    Task(Box<TaskWorld>),
+    Coord(Box<Coordinator>),
+}
+
+/// Mutable half of a cell, guarded by one lock so a cell is only ever
+/// processed by one worker at a time.
+pub(crate) struct CellState {
+    pub(crate) kind: CellKind,
+    /// The cell's Lamport clock: `max(clock, delivery.at)` on receive.
+    pub(crate) clock: VirtualTime,
+    pub(crate) timers: BinaryHeap<TimerEntry>,
+    /// Next timer sequence number (FIFO tie-break among same-time timers).
+    pub(crate) seq: u64,
+    /// Messages a handler addressed to other actors, not yet flushed to
+    /// their mailboxes (flushing can block on backpressure, so it happens
+    /// after the handler returns, still under this cell's lock).
+    pub(crate) outbox: VecDeque<(VirtualTime, ActorId, Msg)>,
+    /// This cell's metrics shard, absorbed into the cluster's at teardown.
+    pub(crate) metrics: JobMetrics,
+    pub(crate) errors: Vec<String>,
+}
+
+impl CellState {
+    /// Deliver one message at `at` to the cell's task or coordinator. Does
+    /// NOT flush the outbox — callers flush (or deliberately defer while a
+    /// send is stalled).
     pub(crate) fn deliver(
         &mut self,
         config: &EngineConfig,
         at: VirtualTime,
         msg: Msg,
         me: ActorId,
-        outbox: &mut VecDeque<(VirtualTime, ActorId, Msg)>,
     ) {
         self.clock = self.clock.max(at);
         let mut sched = ActorSched {
@@ -112,161 +140,42 @@ impl TaskWorld {
             clock: self.clock,
             timers: &mut self.timers,
             seq: &mut self.seq,
-            outbox,
+            outbox: &mut self.outbox,
         };
-        let mut ctx = TaskCtx {
-            sched: &mut sched,
-            links: &mut self.links,
-            external: &mut self.external,
-            topics: &mut self.topics,
-            snapshots: &mut self.snapshots,
-            config,
-            entropy: &mut self.entropy,
-            metrics: &mut self.metrics,
-        };
-        if let Err(e) = self.task.handle(msg, &mut ctx) {
-            self.errors.push(format!("task {me}: {e}"));
-        }
-    }
-}
-
-/// The coordinator: the JM-side checkpoint protocol state for failure-free
-/// runs. Mirrors `Cluster::jm_checkpoint_tick` / `jm_ack` minus everything
-/// that only matters under failures (standby dispatch, recovery state).
-pub(crate) struct CoordWorld {
-    pub(crate) clock: VirtualTime,
-    pub(crate) timers: BinaryHeap<TimerEntry>,
-    pub(crate) seq: u64,
-    pub(crate) next_cp: u64,
-    pub(crate) last_completed: u64,
-    pub(crate) pending: BTreeMap<u64, BTreeSet<TaskId>>,
-    pub(crate) snapshots: SnapshotStore,
-    /// Task ids with no inputs (checkpoint barrier injection points).
-    pub(crate) sources: Vec<TaskId>,
-    /// All task ids (checkpoint-complete broadcast).
-    pub(crate) tasks: Vec<TaskId>,
-    pub(crate) total: usize,
-    pub(crate) metrics: JobMetrics,
-    pub(crate) errors: Vec<String>,
-}
-
-impl CoordWorld {
-    pub(crate) fn new(specs: &[TaskSpec]) -> CoordWorld {
-        CoordWorld {
-            clock: VirtualTime::ZERO,
-            timers: BinaryHeap::new(),
-            seq: 0,
-            next_cp: 0,
-            last_completed: 0,
-            pending: BTreeMap::new(),
-            snapshots: SnapshotStore::with_model(TransferModel::default()),
-            sources: specs.iter().filter(|t| t.inputs.is_empty()).map(|t| t.id).collect(),
-            tasks: specs.iter().map(|t| t.id).collect(),
-            total: specs.len(),
-            // Window must match the cluster accumulator's for `absorb`.
-            metrics: JobMetrics::new(VirtualDuration::from_secs(1)),
-            errors: Vec::new(),
-        }
-    }
-
-    pub(crate) fn deliver(
-        &mut self,
-        config: &EngineConfig,
-        at: VirtualTime,
-        msg: Msg,
-        me: ActorId,
-        outbox: &mut VecDeque<(VirtualTime, ActorId, Msg)>,
-    ) {
-        self.clock = self.clock.max(at);
-        match msg {
-            Msg::CheckpointTick => {
-                let mut sched = ActorSched {
-                    me,
-                    clock: self.clock,
-                    timers: &mut self.timers,
-                    seq: &mut self.seq,
-                    outbox,
+        match &mut self.kind {
+            CellKind::Task(w) => {
+                let mut ctx = TaskCtx {
+                    sched: &mut sched,
+                    links: &mut w.links,
+                    external: &mut w.external,
+                    topics: &mut w.topics,
+                    config,
+                    entropy: &mut w.entropy,
+                    metrics: &mut self.metrics,
                 };
-                sched.schedule_in(config.checkpoint_interval, me, Msg::CheckpointTick);
-                self.next_cp += 1;
-                let id = self.next_cp;
-                self.pending.insert(id, BTreeSet::new());
-                for &s in &self.sources {
-                    sched.schedule_in(
-                        VirtualDuration::from_micros(100),
-                        s,
-                        Msg::TriggerCheckpoint { id },
-                    );
+                if let Err(e) = w.task.handle(msg, &mut ctx) {
+                    self.errors.push(format!("task {me}: {e}"));
                 }
             }
-            Msg::CheckpointAck { task, id, snapshot, delta_parent, segments } => {
-                let now = self.clock;
-                // Tiered backend: register the segment view before the
-                // image so reads of this checkpoint can fold it (same
-                // protocol as the sim-scheduler job manager).
-                if let Some(seg) = segments {
-                    self.snapshots.put_segments(id, task, seg.live, seg.sealed);
-                }
-                match delta_parent {
-                    Some(parent) => {
-                        self.snapshots.put_delta(now, id, task, parent, snapshot);
-                    }
-                    None => {
-                        self.snapshots.put(now, id, task, snapshot);
-                    }
-                }
-                let Some(acked) = self.pending.get_mut(&id) else { return };
-                acked.insert(task);
-                if acked.len() < self.total {
-                    return;
-                }
-                self.pending.remove(&id);
-                if id <= self.last_completed {
-                    return;
-                }
-                self.last_completed = id;
-                self.metrics.event(now, format!("checkpoint {id} complete"));
-                let mut sched = ActorSched {
-                    me,
-                    clock: self.clock,
-                    timers: &mut self.timers,
-                    seq: &mut self.seq,
-                    outbox,
+            CellKind::Coord(c) => {
+                let mut ctx = JmCtx {
+                    sched: &mut sched,
+                    snapshots: &mut c.snapshots,
+                    metrics: &mut self.metrics,
+                    config,
                 };
-                for i in 0..self.tasks.len() {
-                    let t = self.tasks[i];
-                    sched.schedule_in(
-                        VirtualDuration::from_micros(100),
-                        t,
-                        Msg::CheckpointComplete { id },
-                    );
+                match msg {
+                    Msg::CheckpointTick => c.jm.checkpoint_tick(&mut ctx),
+                    Msg::CheckpointAck { task, id, snapshot, delta_parent, segments } => {
+                        c.jm.ack(&mut ctx, task, id, snapshot, delta_parent, segments)
+                    }
+                    other => self.errors.push(format!(
+                        "coordinator received unsupported {other:?} in parallel runtime"
+                    )),
                 }
-                self.snapshots.truncate_before(id);
-            }
-            other => {
-                self.errors
-                    .push(format!("coordinator received unsupported {other:?} in parallel runtime"));
             }
         }
     }
-}
-
-pub(crate) enum CellKind {
-    /// Boxed: a `TaskWorld` is ~2 KB (task + topics + metrics shard), a
-    /// `CoordWorld` ~0.5 KB — unboxed they would inflate every `CellState`
-    /// to the largest variant.
-    Task(Box<TaskWorld>),
-    Coord(Box<CoordWorld>),
-}
-
-/// Mutable half of a cell, guarded by one lock so a cell is only ever
-/// processed by one worker at a time.
-pub(crate) struct CellState {
-    pub(crate) kind: CellKind,
-    /// Messages a handler addressed to other actors, not yet flushed to
-    /// their mailboxes (flushing can block on backpressure, so it happens
-    /// after the handler returns, still under this cell's lock).
-    pub(crate) outbox: VecDeque<(VirtualTime, ActorId, Msg)>,
 }
 
 /// One actor slot: mailbox (any thread) + locked state (one thread at a time).
@@ -288,34 +197,18 @@ impl ActorCell {
         ActorCell {
             id,
             mailbox: Mailbox::new(capacity),
-            state: Mutex::new(CellState { kind, outbox: VecDeque::new() }),
+            state: Mutex::new(CellState {
+                kind,
+                clock: VirtualTime::ZERO,
+                timers: BinaryHeap::new(),
+                seq: 0,
+                outbox: VecDeque::new(),
+                // Window must match the cluster accumulator's for `absorb`.
+                metrics: JobMetrics::new(VirtualDuration::from_secs(1)),
+                errors: Vec::new(),
+            }),
             parked: AtomicBool::new(false),
             clock_us: AtomicU64::new(0),
-        }
-    }
-}
-
-impl CellState {
-    /// Earliest due self-timer at or before `cutoff`, if any.
-    pub(crate) fn due_timer_at(&self) -> Option<VirtualTime> {
-        let timers = match &self.kind {
-            CellKind::Task(w) => &w.timers,
-            CellKind::Coord(w) => &w.timers,
-        };
-        timers.peek().map(|t| t.at)
-    }
-
-    pub(crate) fn pop_timer(&mut self) -> Option<TimerEntry> {
-        match &mut self.kind {
-            CellKind::Task(w) => w.timers.pop(),
-            CellKind::Coord(w) => w.timers.pop(),
-        }
-    }
-
-    pub(crate) fn clock(&self) -> VirtualTime {
-        match &self.kind {
-            CellKind::Task(w) => w.clock,
-            CellKind::Coord(w) => w.clock,
         }
     }
 }

@@ -4,32 +4,35 @@
 //!
 //! Each task becomes an actor with a bounded mailbox and a private world
 //! (Lamport clock, timer heap, links, metrics shard, topic partitions);
-//! actors are sharded round-robin across worker threads with work stealing,
-//! and a coordinator actor owns the JM-side checkpoint protocol. The
-//! determinism-sensitive machinery (determinant replay, chaos injection,
-//! recovery oracles) stays pinned to the sim scheduler — this runtime only
-//! accepts failure-free plans and exists to measure and scale the hot path.
+//! actors are sharded round-robin across worker threads with work stealing.
+//! Coordinator cell 0 runs the cluster's shared job manager — the same
+//! checkpoint protocol the sim scheduler drives — so a threaded run
+//! records the barrier chain's causal events, writes the cluster's snapshot
+//! store and dispatches standby state. The determinism-sensitive machinery
+//! (determinant replay, chaos injection, recovery oracles) stays pinned to
+//! the sim scheduler — this runtime only accepts failure-free plans and
+//! exists to measure and scale the hot path.
 //!
-//! Lifecycle: `run` lifts the tasks out of a deployed [`Cluster`], drains
-//! the sim queue's pending self-events into per-actor timer heaps, runs the
-//! actor system to quiescence under the virtual-time horizon, then folds
-//! every world back into the cluster (tasks reinstalled, metrics shards
-//! absorbed, sink appends merged into the shared topics) so reporting and
-//! inspection work exactly as after a sim run.
+//! Lifecycle: `run` lifts the tasks, the job manager and the snapshot store
+//! out of a deployed [`Cluster`], drains the sim queue's pending
+//! self-events into per-actor timer heaps, runs the actor system to
+//! quiescence under the virtual-time horizon, then folds every cell back
+//! into the cluster (tasks reinstalled, job manager and snapshots returned,
+//! metrics shards absorbed, sink appends merged into the shared topics) so
+//! reporting and inspection work exactly as after a sim run.
 
 mod actor;
 mod mailbox;
 mod worker;
 
 use crate::cluster::Cluster;
-use crate::metrics::{JobMetrics, RuntimeStats};
-use clonos_sim::{ActorId, SimRng, VirtualDuration, VirtualTime};
+use crate::metrics::RuntimeStats;
+use clonos_sim::{ActorId, SimRng, VirtualTime};
 use clonos_storage::log::DurableLog;
-use clonos_storage::snapshot::{SnapshotStore, TransferModel};
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
-use actor::{ActorCell, CellKind, CoordWorld, TaskWorld, TimerEntry};
+use actor::{ActorCell, CellKind, Coordinator, TaskWorld, TimerEntry};
 use worker::{coordinator_loop, worker_loop, Shared};
 
 /// Knobs for the parallel runtime.
@@ -74,11 +77,14 @@ pub fn run(cluster: &mut Cluster, until: VirtualTime, pcfg: &ParallelConfig) -> 
     // ---- Build the actor cells: coordinator first, then graph order. ----
     let mut cells: Vec<ActorCell> = Vec::with_capacity(specs.len() + 1);
     let mut index: BTreeMap<ActorId, usize> = BTreeMap::new();
-    cells.push(ActorCell::new(
-        crate::cluster::JM,
-        CellKind::Coord(Box::new(CoordWorld::new(&specs))),
-        usize::MAX,
-    ));
+    // The coordinator borrows the cluster's own job manager and snapshot
+    // store for the run, so checkpoints, standby state and the completed
+    // watermark are the cluster's again after teardown.
+    let coord = Coordinator {
+        jm: std::mem::take(&mut cluster.jm),
+        snapshots: std::mem::take(&mut cluster.snapshots),
+    };
+    cells.push(ActorCell::new(crate::cluster::JM, CellKind::Coord(Box::new(coord)), usize::MAX));
     index.insert(crate::cluster::JM, 0);
     for spec in &specs {
         let task = cluster
@@ -101,16 +107,10 @@ pub fn run(cluster: &mut Cluster, until: VirtualTime, pcfg: &ParallelConfig) -> 
         }
         let world = TaskWorld {
             task,
-            clock: VirtualTime::ZERO,
-            timers: BinaryHeap::new(),
-            seq: 0,
             links: BTreeMap::new(),
             external: cluster.external.clone(),
             topics,
-            snapshots: SnapshotStore::with_model(TransferModel::default()),
             entropy: SimRng::new(cluster.config.seed).fork(0xAC70).fork(spec.id),
-            metrics: JobMetrics::new(VirtualDuration::from_secs(1)),
-            errors: Vec::new(),
             sink_merge,
         };
         index.insert(spec.id, cells.len());
@@ -122,12 +122,8 @@ pub fn run(cluster: &mut Cluster, until: VirtualTime, pcfg: &ParallelConfig) -> 
     while let Some(d) = cluster.sim.pop() {
         let Some(&idx) = index.get(&d.dest) else { continue };
         let state = cells[idx].state.get_mut().expect("cell lock poisoned before start");
-        let (timers, seq) = match &mut state.kind {
-            CellKind::Task(w) => (&mut w.timers, &mut w.seq),
-            CellKind::Coord(w) => (&mut w.timers, &mut w.seq),
-        };
-        timers.push(TimerEntry { at: d.at, seq: *seq, msg: d.msg });
-        *seq += 1;
+        state.timers.push(TimerEntry { at: d.at, seq: state.seq, msg: d.msg });
+        state.seq += 1;
     }
 
     // ---- Run to quiescence. ----
@@ -161,11 +157,12 @@ pub fn run(cluster: &mut Cluster, until: VirtualTime, pcfg: &ParallelConfig) -> 
     for cell in cells {
         let id = cell.id;
         let state = cell.state.into_inner().expect("cell lock poisoned");
+        cluster.metrics.absorb(state.metrics);
+        errors.extend(state.errors);
         match state.kind {
-            CellKind::Coord(w) => {
-                cluster.set_last_completed(w.last_completed);
-                cluster.metrics.absorb(w.metrics);
-                errors.extend(w.errors);
+            CellKind::Coord(c) => {
+                cluster.jm = c.jm;
+                cluster.snapshots = c.snapshots;
             }
             CellKind::Task(mut w) => {
                 if let Some((name, part, base)) = w.sink_merge.take() {
@@ -179,8 +176,6 @@ pub fn run(cluster: &mut Cluster, until: VirtualTime, pcfg: &ParallelConfig) -> 
                         }
                     }
                 }
-                cluster.metrics.absorb(w.metrics);
-                errors.extend(w.errors);
                 cluster.install_task(id, w.task);
             }
         }

@@ -47,18 +47,6 @@ pub(crate) struct Shared<'a> {
     pub(crate) stalls: AtomicU64,
 }
 
-/// Deliver one message into a cell's world. Does NOT flush the outbox —
-/// callers flush (or deliberately defer while a send is stalled).
-fn deliver_raw(shared: &Shared<'_>, idx: usize, state: &mut CellState, at: VirtualTime, msg: Msg) {
-    let me = shared.cells[idx].id;
-    // The outbox lives beside the world in CellState so the handler can
-    // borrow both mutably at once.
-    match &mut state.kind {
-        CellKind::Task(w) => w.deliver(shared.config, at, msg, me, &mut state.outbox),
-        CellKind::Coord(w) => w.deliver(shared.config, at, msg, me, &mut state.outbox),
-    }
-}
-
 /// Flush a cell's outbox into destination mailboxes, honouring
 /// backpressure. Called with `state` locked; never blocks on another state
 /// lock (helping uses `try_lock`). Returns events handled as a side effect
@@ -98,7 +86,7 @@ pub(crate) fn flush_outbox(
                     // appended to the outbox *behind* the stalled one, which
                     // keeps retrying at the front — FIFO per destination.
                     if let Some(own) = shared.cells[idx].mailbox.pop() {
-                        deliver_raw(shared, idx, state, own.at, own.msg);
+                        state.deliver(shared.config, own.at, own.msg, shared.cells[idx].id);
                         shared.inflight.fetch_sub(1, Ordering::SeqCst);
                         extra += 1;
                         continue;
@@ -128,19 +116,20 @@ pub(crate) fn process_cell(shared: &Shared<'_>, idx: usize, budget: usize, depth
     let Ok(mut state) = cell.state.try_lock() else { return 0 };
     let mut done = 0u64;
     while (done as usize) < budget && !shared.shutdown.load(Ordering::Relaxed) {
-        let timer_at = state.due_timer_at().filter(|&at| timer_due(shared, &state, at));
+        let timer_at =
+            state.timers.peek().map(|t| t.at).filter(|&at| timer_due(shared, &state, at));
         // One mailbox lock per event: pop the front message iff it precedes
         // the due timer (the timer wins ties). Only the lock holder pops, so
         // the front can't change between the bound check and the pop.
         if let Some(d) = cell.mailbox.pop_before(timer_at) {
-            deliver_raw(shared, idx, &mut state, d.at, d.msg);
+            state.deliver(shared.config, d.at, d.msg, cell.id);
             // Decrement only after handling so quiescence can't be declared
             // between pop and delivery.
             shared.inflight.fetch_sub(1, Ordering::SeqCst);
             done += 1 + flush_outbox(shared, idx, &mut state, depth);
         } else if timer_at.is_some() {
-            let Some(entry) = state.pop_timer() else { break };
-            deliver_raw(shared, idx, &mut state, entry.at, entry.msg);
+            let Some(entry) = state.timers.pop() else { break };
+            state.deliver(shared.config, entry.at, entry.msg, cell.id);
             done += 1 + flush_outbox(shared, idx, &mut state, depth);
         } else {
             break;
@@ -153,12 +142,12 @@ pub(crate) fn process_cell(shared: &Shared<'_>, idx: usize, budget: usize, depth
     // horizon simply keeps the cell runnable for one more round.)
     if cell.mailbox.is_drained()
         && state.outbox.is_empty()
-        && state.due_timer_at().is_none_or(|at| !timer_due(shared, &state, at))
+        && state.timers.peek().is_none_or(|t| !timer_due(shared, &state, t.at))
     {
         if let CellKind::Task(w) = &state.kind {
             if w.task.has_buffered_output() {
-                let at = state.clock();
-                deliver_raw(shared, idx, &mut state, at, Msg::FlushTick);
+                let at = state.clock;
+                state.deliver(shared.config, at, Msg::FlushTick, cell.id);
                 done += 1 + flush_outbox(shared, idx, &mut state, depth);
             }
         }
@@ -176,12 +165,12 @@ pub(crate) fn process_cell(shared: &Shared<'_>, idx: usize, budget: usize, depth
     // parked tasks do by publishing `end`, and the driver re-sweeps the
     // coordinator every round regardless of its park flag.
     let parked = cell.mailbox.is_drained()
-        && state.due_timer_at().is_none_or(|at| !timer_due(shared, &state, at))
+        && state.timers.peek().is_none_or(|t| !timer_due(shared, &state, t.at))
         && state.outbox.is_empty();
     let clock = if parked && !matches!(state.kind, CellKind::Coord(_)) {
         shared.end
     } else {
-        state.clock()
+        state.clock
     };
     cell.clock_us.store(clock.as_micros(), Ordering::Release);
     cell.parked.store(parked, Ordering::Release);

@@ -36,7 +36,6 @@ use clonos_sim::{Link, Scheduler, ServiceQueue, SimRng, VirtualDuration, Virtual
 use clonos_storage::codec::{ByteReader, ByteWriter};
 use clonos_storage::deltamap;
 use clonos_storage::log::DurableLog;
-use clonos_storage::snapshot::SnapshotStore;
 use clonos_storage::spill::SpillDevice;
 use clonos_storage::external::ExternalKv;
 use std::collections::{BTreeMap, VecDeque};
@@ -50,7 +49,6 @@ pub struct TaskCtx<'a> {
     pub links: &'a mut BTreeMap<(TaskId, TaskId), Link>,
     pub external: &'a mut ExternalKv,
     pub topics: &'a mut BTreeMap<String, DurableLog>,
-    pub snapshots: &'a mut SnapshotStore,
     pub config: &'a EngineConfig,
     pub entropy: &'a mut SimRng,
     pub metrics: &'a mut JobMetrics,

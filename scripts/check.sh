@@ -32,6 +32,8 @@ CHAOS_SEEDS=25 cargo test --release -q -p clonos-integration --test chaos_sweep
 echo "== conformance: causal traces vs results/causal_spec.json (25 seeds x 4 FT modes, release) =="
 CHAOS_SEEDS=25 cargo test --release -q -p clonos-integration --test causal_conformance
 
+# Smoke stages write their JSON under target/bench-smoke/, never over the
+# committed BENCH_*.json files.
 echo "== bench: checkpoint smoke (full-vs-delta barrier encoding) =="
 BENCH_CHECKPOINT_SMOKE=1 cargo run --release -q -p clonos-bench --bin bench_checkpoint
 

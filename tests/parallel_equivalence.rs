@@ -13,8 +13,10 @@ use clonos::config::{ClonosConfig, SharingDepth};
 use clonos_bench::{synthetic_chain, synthetic_rows};
 use clonos_engine::operators::ReduceOp;
 use clonos_engine::*;
-use clonos_sim::VirtualDuration;
-use std::collections::BTreeMap;
+use clonos_integration::conformance::{check_trace, StaticSpec, Tolerances};
+use clonos_sim::{VirtualDuration, VirtualTime};
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::Path;
 
 const SEED: u64 = 23;
 const RATE: u64 = 50_000;
@@ -150,5 +152,61 @@ fn tiny_mailboxes_backpressure_without_losing_records() {
         par.runtime_stats.mailbox_depth_highwater <= 4,
         "mailbox bound violated: {}",
         par.runtime_stats.mailbox_depth_highwater
+    );
+}
+
+fn clonos_full() -> FtMode {
+    FtMode::Clonos(ClonosConfig::exactly_once(SharingDepth::Full))
+}
+
+/// Both schedulers drive the one job manager, so a threaded run's causal
+/// trace conforms to the static spec (every `CheckpointAck` resolves to the
+/// coordinator's `TriggerCheckpoint`) and holds the same event kinds as the
+/// sim run of the same job.
+#[test]
+fn threaded_trace_conforms_and_matches_sim_kinds() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let spec = StaticSpec::load(&root);
+    let tol = Tolerances { horizon: VirtualDuration::from_secs(SECS), ..Tolerances::oracle() };
+    let sim = chain_runner(5, 4, clonos_full()).run_for(VirtualDuration::from_secs(SECS));
+    let par = chain_runner(5, 4, clonos_full()).run_parallel_for(
+        VirtualDuration::from_secs(SECS),
+        &ParallelConfig { workers: 4, ..ParallelConfig::default() },
+    );
+    let violations = check_trace(&par, &spec, &tol);
+    assert!(
+        violations.is_empty(),
+        "{} violations in the threaded trace, first: {}",
+        violations.len(),
+        violations[0].render()
+    );
+    let kinds = |r: &RunReport| r.causal_events.iter().map(|e| e.kind).collect::<BTreeSet<_>>();
+    let par_kinds = kinds(&par);
+    assert!(par_kinds.contains("TriggerCheckpoint") && par_kinds.contains("CheckpointComplete"));
+    assert_eq!(kinds(&sim), par_kinds, "causal event kinds diverge between schedulers");
+}
+
+/// A threaded run writes the cluster's own snapshot store: after
+/// `runtime::run` every task's image of the last completed checkpoint is
+/// readable from the cluster.
+#[test]
+fn checkpoints_survive_a_threaded_run() {
+    let mut runner = chain_runner(5, 4, clonos_full());
+    clonos_engine::runtime::run(
+        &mut runner.cluster,
+        VirtualTime::ZERO + VirtualDuration::from_secs(SECS),
+        &ParallelConfig { workers: 4, ..ParallelConfig::default() },
+    );
+    let cluster = &mut runner.cluster;
+    let cp = cluster.last_completed_checkpoint();
+    assert!(cp > 0, "no checkpoint completed in the threaded run");
+    let ids: Vec<_> = cluster.graph.tasks.iter().map(|t| t.id).collect();
+    let total = ids.len();
+    let missing: Vec<_> =
+        ids.into_iter().filter(|&t| cluster.snapshot_of(cp, t).is_none()).collect();
+    assert!(
+        missing.is_empty(),
+        "checkpoint {cp} lost for {} of {total} tasks: {missing:?}",
+        missing.len()
     );
 }
