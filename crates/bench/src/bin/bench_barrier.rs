@@ -14,11 +14,11 @@
 //! reduction under backpressure.
 //!
 //! Usage: `cargo run -p clonos-bench --release --bin bench_barrier`
-//! (`BENCH_BARRIER_SMOKE=1` shrinks the horizon for CI smoke runs and writes
+//! (`BENCH_SMOKE=1` runs the same horizon and writes
 //! `target/bench-smoke/BENCH_barrier.json` instead.)
 
 use clonos::config::{ClonosConfig, SharingDepth};
-use clonos_bench::{print_table, write_bench_json};
+use clonos_bench::{percentile, populate_round_robin, Ledger, LedgerRow, Value};
 use clonos_engine::config::CheckpointMode;
 use clonos_engine::operator::OpCtx;
 use clonos_engine::operators::ProcessOp;
@@ -28,24 +28,13 @@ use clonos_sim::{VirtualDuration, VirtualTime};
 const RATE: u64 = 1_000;
 const PARALLELISM: usize = 2;
 const NODES: u32 = 4;
+const SECS: u64 = 40;
 /// Checkpoints every 2 s; slow windows open every 3 s, so barriers land in
 /// every phase of the backlog's build/drain cycle.
 const CP_INTERVAL_SECS: u64 = 2;
 const SLOW_PERIOD_SECS: u64 = 3;
 const SLOW_FACTOR: u64 = 150;
 const SLOW_WINDOW: VirtualDuration = VirtualDuration::from_millis(1_500);
-
-fn smoke() -> bool {
-    std::env::var("BENCH_BARRIER_SMOKE").map(|v| v == "1").unwrap_or(false)
-}
-
-fn horizon_secs() -> u64 {
-    if smoke() {
-        14
-    } else {
-        40
-    }
-}
 
 fn chain() -> JobGraph {
     let mut g = JobGraph::new("bench-barrier");
@@ -71,10 +60,10 @@ fn chain() -> JobGraph {
 }
 
 /// Repeating slow windows over task 3 ("a" stage) covering the input span.
-fn backpressure_plan(secs: u64) -> FailurePlan {
+fn backpressure_plan() -> FailurePlan {
     let mut plan = FailurePlan::none();
     let mut at = 4u64;
-    while at + 2 < secs.saturating_sub(5) {
+    while at + 2 < SECS - 5 {
         plan = plan.slow_at(VirtualTime(at * 1_000_000), 3, SLOW_FACTOR, SLOW_WINDOW);
         at += SLOW_PERIOD_SECS;
     }
@@ -82,38 +71,30 @@ fn backpressure_plan(secs: u64) -> FailurePlan {
 }
 
 fn run_one(mode: CheckpointMode) -> RunReport {
-    let secs = horizon_secs();
     let ft = FtMode::Clonos(ClonosConfig::exactly_once(SharingDepth::Full));
     let mut cfg = EngineConfig::default().with_seed(42).with_ft(ft);
     cfg.num_nodes = NODES;
     cfg.checkpoint_interval = VirtualDuration::from_secs(CP_INTERVAL_SECS);
     cfg.checkpoint_mode = mode;
     let mut runner = JobRunner::new(chain(), cfg);
-    let n = RATE as i64 * PARALLELISM as i64 * (secs as i64 - 5);
+    let n = RATE as i64 * PARALLELISM as i64 * (SECS as i64 - 5);
     let rows: Vec<Row> =
         (0..n).map(|i| Row::new(vec![Datum::Int(i % 64), Datum::Int(i)])).collect();
-    for p in 0..PARALLELISM {
-        let slice: Vec<Row> = rows.iter().skip(p).step_by(PARALLELISM).cloned().collect();
-        runner.populate("in", p, slice);
-    }
-    runner.with_failures(backpressure_plan(secs)).run_for(VirtualDuration::from_secs(secs))
+    populate_round_robin(&mut runner, "in", &rows);
+    runner.with_failures(backpressure_plan()).run_for(VirtualDuration::from_secs(SECS))
 }
 
 /// Completion latency (µs) per checkpoint id: JM trigger → last ack.
 fn checkpoint_latencies(report: &RunReport) -> Vec<u64> {
-    let mut triggered: std::collections::BTreeMap<u64, VirtualTime> =
-        std::collections::BTreeMap::new();
+    let mut triggered = std::collections::BTreeMap::new();
     let mut out = Vec::new();
-    for e in &report.events {
-        let Some(rest) = e.what.strip_prefix("checkpoint ") else { continue };
-        let Some((id, verb)) = rest.split_once(' ') else { continue };
-        let Ok(id) = id.parse::<u64>() else { continue };
-        match verb {
-            "triggered" => {
-                triggered.insert(id, e.at);
+    for e in &report.causal_events {
+        match e.kind {
+            "TriggerCheckpoint" => {
+                triggered.entry(e.epoch).or_insert(e.at);
             }
-            "complete" => {
-                if let Some(t0) = triggered.get(&id) {
+            "CheckpointComplete" => {
+                if let Some(t0) = triggered.get(&e.epoch) {
                     out.push(e.at.saturating_sub(*t0).as_micros());
                 }
             }
@@ -123,26 +104,7 @@ fn checkpoint_latencies(report: &RunReport) -> Vec<u64> {
     out
 }
 
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len()) - 1;
-    sorted[idx]
-}
-
-struct ModeResult {
-    label: &'static str,
-    completed: usize,
-    p50_us: u64,
-    p99_us: u64,
-    bytes_per_image: u64,
-    stall_us: u64,
-    overtaken_records: u64,
-    overtaken_bytes: u64,
-}
-
-fn measure(mode: CheckpointMode, label: &'static str) -> ModeResult {
+fn measure(mode: CheckpointMode, label: &str) -> LedgerRow {
     let report = run_one(mode);
     assert!(report.records_out > 0, "{label}: no output committed");
     assert!(
@@ -157,101 +119,43 @@ fn measure(mode: CheckpointMode, label: &'static str) -> ModeResult {
     assert!(lat.len() >= 3, "{label}: only {} completed checkpoints", lat.len());
     let cs = &report.checkpoint_stats;
     let images = cs.full_snapshots + cs.delta_snapshots;
-    ModeResult {
-        label,
-        completed: lat.len(),
-        p50_us: percentile(&lat, 0.50),
-        p99_us: percentile(&lat, 0.99),
-        bytes_per_image: (cs.full_bytes + cs.delta_bytes) / images.max(1),
-        stall_us: cs.alignment_stall_us,
-        overtaken_records: cs.overtaken_records,
-        overtaken_bytes: cs.overtaken_bytes,
-    }
+    LedgerRow::new()
+        .text("mode", "mode", label)
+        .int("completed", "completed", lat.len() as u64)
+        .int("p50_us", "p50 us", percentile(&lat, 50.0))
+        .int("p99_us", "p99 us", percentile(&lat, 99.0))
+        .int("bytes_per_image", "B/image", (cs.full_bytes + cs.delta_bytes) / images.max(1))
+        .int("alignment_stall_us", "stall us", cs.alignment_stall_us)
+        .int("overtaken_records", "overtaken", cs.overtaken_records)
+        .int("overtaken_bytes", "overtaken B", cs.overtaken_bytes)
 }
 
 fn main() {
     let aligned = measure(CheckpointMode::Aligned, "aligned");
     let unaligned = measure(CheckpointMode::Unaligned, "unaligned");
-    let results = [&aligned, &unaligned];
-
-    let table: Vec<Vec<String>> = results
-        .iter()
-        .map(|m| {
-            vec![
-                m.label.to_string(),
-                format!("{}", m.completed),
-                format!("{:.1}", m.p50_us as f64 / 1_000.0),
-                format!("{:.1}", m.p99_us as f64 / 1_000.0),
-                format!("{}", m.bytes_per_image),
-                format!("{:.1}", m.stall_us as f64 / 1_000.0),
-                format!("{}", m.overtaken_records),
-                format!("{}", m.overtaken_bytes),
-            ]
-        })
-        .collect();
-    print_table(
+    let ratio = |key| aligned.get(key) / unaligned.get(key).max(1.0);
+    let (p99_ratio, p50_ratio) = (ratio("p99_us"), ratio("p50_us"));
+    let overtaken = unaligned.get("overtaken_records");
+    Ledger::new(
+        "barrier",
+        "barrier",
         "Checkpoint completion under a 150x slow consumer (trigger -> last ack)",
-        &[
-            "mode",
-            "completed",
-            "p50 ms",
-            "p99 ms",
-            "B/image",
-            "stall ms",
-            "overtaken",
-            "overtaken B",
-        ],
-        &table,
-    );
-
-    let p99_ratio = aligned.p99_us as f64 / unaligned.p99_us.max(1) as f64;
-    let p50_ratio = aligned.p50_us as f64 / unaligned.p50_us.max(1) as f64;
-    println!(
-        "\np99 completion-latency reduction (aligned/unaligned): {p99_ratio:.2}x \
+        vec![aligned, unaligned],
+    )
+    .field("slow_factor", Value::Int(SLOW_FACTOR))
+    .field("p99_reduction", Value::Num(p99_ratio, 3))
+    .field("p50_reduction", Value::Num(p50_ratio, 3))
+    .line(format!(
+        "p99 completion-latency reduction (aligned/unaligned): {p99_ratio:.2}x \
          (acceptance floor: 5.00x); p50: {p50_ratio:.2}x"
-    );
-    assert!(
-        unaligned.overtaken_records > 0,
-        "unaligned run captured no overtaken records — backpressure did not bite"
-    );
-    // The 5x floor needs the full horizon: with only ~6 checkpoints, p99 is
-    // the single worst sample, and one barrier landing while the slowed task
-    // is mid-record (a 150x-stretched service slot) dominates both modes.
-    if smoke() {
-        println!("smoke run: acceptance-floor assertion skipped (full horizon enforces it)");
-    } else {
-        assert!(
-            p99_ratio >= 5.0,
-            "unaligned p99 ({} us) is not >=5x below aligned p99 ({} us)",
-            unaligned.p99_us,
-            aligned.p99_us
-        );
-    }
-
-    let json_rows: Vec<String> = results
-        .iter()
-        .map(|m| {
-            format!(
-                "    {{\"mode\": \"{}\", \"completed\": {}, \"p50_us\": {}, \"p99_us\": {}, \
-                 \"bytes_per_image\": {}, \"alignment_stall_us\": {}, \
-                 \"overtaken_records\": {}, \"overtaken_bytes\": {}}}",
-                m.label,
-                m.completed,
-                m.p50_us,
-                m.p99_us,
-                m.bytes_per_image,
-                m.stall_us,
-                m.overtaken_records,
-                m.overtaken_bytes
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"barrier\",\n  \"smoke\": {},\n  \"slow_factor\": {SLOW_FACTOR},\n  \
-         \"p99_reduction\": {p99_ratio:.3},\n  \"p50_reduction\": {p50_ratio:.3},\n  \
-         \"rows\": [\n{}\n  ]\n}}\n",
-        smoke(),
-        json_rows.join(",\n")
-    );
-    write_bench_json("BENCH_barrier.json", smoke(), &json);
+    ))
+    .gate(
+        overtaken > 0.0,
+        "unaligned run captured no overtaken records — backpressure did not bite",
+    )
+    .gate(
+        p99_ratio >= 5.0,
+        format!("unaligned p99 is not >=5x below aligned p99 ({p99_ratio:.2}x)"),
+    )
+    .finish();
 }

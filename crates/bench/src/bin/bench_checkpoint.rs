@@ -10,14 +10,14 @@
 //! 10^5+ keys.
 //!
 //! Usage: `cargo run -p clonos-bench --release --bin bench_checkpoint`
-//! (`BENCH_CHECKPOINT_SMOKE=1` shrinks sizes/rounds for CI smoke runs and writes
+//! (`BENCH_SMOKE=1` shrinks sizes for CI smoke runs and writes
 //! `target/bench-smoke/BENCH_checkpoint.json` instead.)
 
 // Host-time measurement is this binary's purpose (clippy.toml wall-clock
 // disallow list exempts measurement code explicitly).
 #![allow(clippy::disallowed_methods)]
 
-use clonos_bench::{print_table, write_bench_json};
+use clonos_bench::{smoke, Ledger, LedgerRow, Value};
 use clonos_engine::state::StateStore;
 use clonos_engine::{Datum, Row as DataRow};
 use clonos_storage::deltamap;
@@ -25,10 +25,6 @@ use std::time::Instant;
 
 /// Measured rounds per configuration (plus 1 warmup round).
 const ROUNDS: usize = 8;
-
-fn smoke() -> bool {
-    std::env::var("BENCH_CHECKPOINT_SMOKE").map(|v| v == "1").unwrap_or(false)
-}
 
 /// Deterministic per-key payload: two ints and a mid-sized blob-ish datum,
 /// roughly the shape of the oracle job's per-key aggregation rows.
@@ -61,16 +57,7 @@ fn dirty_some(store: &mut StateStore, keys: u64, n: u64, epoch: u64) {
     }
 }
 
-struct Measurement {
-    keys: u64,
-    dirty_pct: u64,
-    full_bytes: u64,
-    delta_bytes: u64,
-    full_ns: f64,
-    delta_ns: f64,
-}
-
-fn measure(keys: u64, dirty_pct: u64) -> Measurement {
+fn measure(keys: u64, dirty_pct: u64) -> LedgerRow {
     let dirty_n = (keys * dirty_pct / 100).max(1);
     let mut store = populated(keys);
 
@@ -118,97 +105,70 @@ fn measure(keys: u64, dirty_pct: u64) -> Measurement {
         }
     }
 
-    Measurement { keys, dirty_pct, full_bytes, delta_bytes, full_ns, delta_ns }
+    LedgerRow::new()
+        .int("keys", "keys", keys)
+        .int("dirty_pct", "dirty %", dirty_pct)
+        .int("full_bytes", "full B", full_bytes)
+        .int("delta_bytes", "delta B", delta_bytes)
+        .num("byte_reduction", "B ratio", full_bytes as f64 / delta_bytes.max(1) as f64, 3)
+        .num("full_ns", "full ns", full_ns, 0)
+        .num("delta_ns", "delta ns", delta_ns, 0)
+        .num("time_reduction", "t ratio", full_ns / delta_ns.max(1.0), 3)
+}
+
+/// Minimum byte reduction over the rows with at least `min_keys` keys and
+/// at most 10% dirty (infinite if there are none).
+fn min_reduction(rows: &[LedgerRow], min_keys: f64) -> f64 {
+    rows.iter()
+        .filter(|r| r.get("keys") >= min_keys && r.get("dirty_pct") <= 10.0)
+        .map(|r| r.get("byte_reduction"))
+        .fold(f64::INFINITY, f64::min)
 }
 
 fn main() {
     let sizes: &[u64] = if smoke() { &[1_000, 20_000] } else { &[1_000, 100_000, 1_000_000] };
-    let dirty_pcts = [1u64, 10, 100];
     let mut rows = Vec::new();
     for &keys in sizes {
-        for &pct in &dirty_pcts {
+        for pct in [1u64, 10, 100] {
             rows.push(measure(keys, pct));
         }
     }
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|m| {
-            vec![
-                format!("{}", m.keys),
-                format!("{}%", m.dirty_pct),
-                format!("{}", m.full_bytes),
-                format!("{}", m.delta_bytes),
-                format!("{:.2}x", m.full_bytes as f64 / m.delta_bytes.max(1) as f64),
-                format!("{:.1}", m.full_ns / 1_000.0),
-                format!("{:.1}", m.delta_ns / 1_000.0),
-                format!("{:.2}x", m.full_ns / m.delta_ns.max(1.0)),
-            ]
-        })
-        .collect();
-    print_table(
-        "Barrier snapshot: full image vs O(dirty) delta (per barrier)",
-        &["keys", "dirty", "full B", "delta B", "B ratio", "full us", "delta us", "t ratio"],
-        &table,
-    );
-
     // Acceptance floor: >= 5x byte reduction at <= 10% dirty with 10^5+ keys.
-    let floor_rows: Vec<&Measurement> =
-        rows.iter().filter(|m| m.keys >= 100_000 && m.dirty_pct <= 10).collect();
-    let min_reduction = floor_rows
-        .iter()
-        .map(|m| m.full_bytes as f64 / m.delta_bytes.max(1) as f64)
-        .fold(f64::INFINITY, f64::min);
-    if floor_rows.is_empty() {
-        println!("\nsmoke run: acceptance-floor configurations skipped");
-    } else {
-        println!(
-            "\nminimum byte reduction at >=1e5 keys, <=10% dirty: {min_reduction:.2}x \
-             (acceptance floor: 5.00x)"
-        );
-    }
-
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|m| {
+    // A smoke run never reaches 10^5 keys; it records an explicit marker
+    // there, and the reduction at its own largest size.
+    let floor = min_reduction(&rows, 100_000.0);
+    let (acceptance, floor_line) = if floor.is_finite() {
+        (
+            Value::Num(floor, 3),
             format!(
-                "    {{\"keys\": {}, \"dirty_pct\": {}, \"full_bytes\": {}, \
-                 \"delta_bytes\": {}, \"byte_reduction\": {:.3}, \"full_ns\": {:.0}, \
-                 \"delta_ns\": {:.0}, \"time_reduction\": {:.3}}}",
-                m.keys,
-                m.dirty_pct,
-                m.full_bytes,
-                m.delta_bytes,
-                m.full_bytes as f64 / m.delta_bytes.max(1) as f64,
-                m.full_ns,
-                m.delta_ns,
-                m.full_ns / m.delta_ns.max(1.0)
-            )
-        })
-        .collect();
-    // In smoke mode the acceptance-floor configurations (>=1e5 keys) never
-    // run; emit an explicit marker instead of a null that downstream tooling
-    // would have to special-case, plus a smoke-scale reduction computed from
-    // the largest configuration the smoke run does cover.
-    let acceptance_field = if floor_rows.is_empty() {
-        "\"skipped_in_smoke\"".to_string()
+                "minimum byte reduction at >=1e5 keys, <=10% dirty: {floor:.2}x \
+                 (acceptance floor: 5.00x)"
+            ),
+        )
     } else {
-        format!("{min_reduction:.3}")
+        (
+            Value::Str("skipped_in_smoke".into()),
+            "smoke run: acceptance-floor configurations skipped".into(),
+        )
     };
-    let largest = rows.iter().map(|m| m.keys).max().unwrap_or(0);
-    let smoke_reduction = rows
-        .iter()
-        .filter(|m| m.keys == largest && m.dirty_pct <= 10)
-        .map(|m| m.full_bytes as f64 / m.delta_bytes.max(1) as f64)
-        .fold(f64::INFINITY, f64::min);
-    let json = format!(
-        "{{\n  \"bench\": \"checkpoint\",\n  \"rounds\": {ROUNDS},\n  \
-         \"smoke\": {},\n  \"min_byte_reduction_1e5_10pct\": {acceptance_field},\n  \
-         \"min_byte_reduction_largest_10pct\": {{\"keys\": {largest}, \
-         \"reduction\": {smoke_reduction:.3}}},\n  \
-         \"rows\": [\n{}\n  ]\n}}\n",
-        smoke(),
-        json_rows.join(",\n")
-    );
-    write_bench_json("BENCH_checkpoint.json", smoke(), &json);
+    let largest = *sizes.last().expect("sizes");
+    let largest_reduction = min_reduction(&rows, largest as f64);
+    Ledger::new(
+        "checkpoint",
+        "checkpoint",
+        "Barrier snapshot: full image vs O(dirty) delta (per barrier)",
+        rows,
+    )
+    .field("rounds", Value::Int(ROUNDS as u64))
+    .field("min_byte_reduction_1e5_10pct", acceptance)
+    .field(
+        "min_byte_reduction_largest_10pct",
+        Value::Obj(vec![
+            ("keys", Value::Int(largest)),
+            ("reduction", Value::Num(largest_reduction, 3)),
+        ]),
+    )
+    .line(floor_line)
+    .finish();
 }

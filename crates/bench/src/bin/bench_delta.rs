@@ -9,6 +9,7 @@
 //! quantifies the per-entry cost difference and writes `BENCH_delta.json`.
 //!
 //! Usage: `cargo run -p clonos-bench --release --bin bench_delta`
+//! (`BENCH_SMOKE=1` writes `target/bench-smoke/BENCH_delta.json` instead.)
 
 // Host-time measurement is this binary's purpose (clippy.toml wall-clock
 // disallow list exempts measurement code explicitly).
@@ -16,7 +17,7 @@
 
 use clonos::causal_log::CausalLogManager;
 use clonos::determinant::Determinant;
-use clonos_bench::print_table;
+use clonos_bench::{Ledger, LedgerRow, Value};
 use clonos_storage::codec::ByteWriter;
 use std::time::Instant;
 
@@ -108,14 +109,7 @@ fn legacy_encode_log(w: &mut ByteWriter, origin: u64, id: u32, entries: &[(u64, 
     w.put_varint(0);
 }
 
-struct Row {
-    fanout: usize,
-    dsd: u32,
-    arena_ns: f64,
-    legacy_ns: f64,
-}
-
-fn measure(fanout: usize, dsd: u32, dets: &[Determinant]) -> Row {
+fn measure(fanout: usize, dsd: u32, dets: &[Determinant]) -> LedgerRow {
     let origins = dsd.min(3) as usize;
     let entries_per_round = (fanout * origins * ENTRIES) as u64;
     let decoded: Vec<(u64, Determinant)> = dets.iter().map(|d| (0u64, d.clone())).collect();
@@ -159,7 +153,12 @@ fn measure(fanout: usize, dsd: u32, dets: &[Determinant]) -> Row {
         }
     }
 
-    Row { fanout, dsd, arena_ns, legacy_ns }
+    LedgerRow::new()
+        .int("fanout", "fanout", fanout as u64)
+        .int("dsd", "DSD", dsd as u64)
+        .num("arena_ns_per_entry", "arena ns", arena_ns, 3)
+        .num("reencode_ns_per_entry", "re-encode ns", legacy_ns, 3)
+        .num("speedup", "speedup", legacy_ns / arena_ns, 3)
 }
 
 fn main() {
@@ -170,54 +169,22 @@ fn main() {
             rows.push(measure(fanout, dsd, &dets));
         }
     }
-
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{}", r.fanout),
-                format!("{}", r.dsd),
-                format!("{:.2}", r.arena_ns),
-                format!("{:.2}", r.legacy_ns),
-                format!("{:.2}x", r.legacy_ns / r.arena_ns),
-            ]
-        })
-        .collect();
-    print_table(
-        "Delta collection: encoded arena vs per-entry re-encoding (ns/entry)",
-        &["fanout", "DSD", "arena", "re-encode", "speedup"],
-        &table,
-    );
-
     let min_speedup_fanout_ge4 = rows
         .iter()
-        .filter(|r| r.fanout >= 4)
-        .map(|r| r.legacy_ns / r.arena_ns)
+        .filter(|r| r.get("fanout") >= 4.0)
+        .map(|r| r.get("speedup"))
         .fold(f64::INFINITY, f64::min);
-    println!(
-        "\nminimum speedup at fanout >= 4: {min_speedup_fanout_ge4:.2}x (acceptance floor: 2.00x)"
-    );
-
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"fanout\": {}, \"dsd\": {}, \"arena_ns_per_entry\": {:.3}, \
-                 \"reencode_ns_per_entry\": {:.3}, \"speedup\": {:.3}}}",
-                r.fanout,
-                r.dsd,
-                r.arena_ns,
-                r.legacy_ns,
-                r.legacy_ns / r.arena_ns
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"delta_fanout\",\n  \"entries_per_log\": {ENTRIES},\n  \
-         \"rounds\": {ROUNDS},\n  \"min_speedup_fanout_ge4\": {min_speedup_fanout_ge4:.3},\n  \
-         \"rows\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    std::fs::write("BENCH_delta.json", &json).expect("write BENCH_delta.json");
-    println!("wrote BENCH_delta.json");
+    Ledger::new(
+        "delta",
+        "delta_fanout",
+        "Delta collection: encoded arena vs per-entry re-encoding (ns/entry)",
+        rows,
+    )
+    .field("entries_per_log", Value::Int(ENTRIES as u64))
+    .field("rounds", Value::Int(ROUNDS as u64))
+    .field("min_speedup_fanout_ge4", Value::Num(min_speedup_fanout_ge4, 3))
+    .line(format!(
+        "minimum speedup at fanout >= 4: {min_speedup_fanout_ge4:.2}x (acceptance floor: 2.00x)"
+    ))
+    .finish();
 }

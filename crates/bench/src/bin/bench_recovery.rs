@@ -9,9 +9,10 @@
 //! within 10% of the pre-failure baseline. Writes `BENCH_recovery.json`.
 //!
 //! Usage: `cargo run -p clonos-bench --release --bin bench_recovery [seeds]`
+//! (`BENCH_SMOKE=1` writes `target/bench-smoke/BENCH_recovery.json` instead.)
 
 use clonos::config::{ClonosConfig, SharingDepth};
-use clonos_bench::print_table;
+use clonos_bench::{percentile, populate_round_robin, Ledger, LedgerRow, Value};
 use clonos_engine::operator::OpCtx;
 use clonos_engine::operators::ProcessOp;
 use clonos_engine::*;
@@ -76,26 +77,8 @@ fn run_one(ft: FtMode, fault: FaultKind, seed: u64) -> RunReport {
     let n = RATE as i64 * PARALLELISM as i64 * (SECS as i64 - 15);
     let rows: Vec<Row> =
         (0..n).map(|i| Row::new(vec![Datum::Int(i % 64), Datum::Int(i)])).collect();
-    for p in 0..PARALLELISM {
-        let slice: Vec<Row> = rows.iter().skip(p).step_by(PARALLELISM).cloned().collect();
-        runner.populate("in", p, slice);
-    }
+    populate_round_robin(&mut runner, "in", &rows);
     runner.with_failures(fault.plan()).run_for(VirtualDuration::from_secs(SECS))
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() - 1) as f64 * p / 100.0).round() as usize;
-    sorted[idx]
-}
-
-struct Summary {
-    mode: &'static str,
-    fault: &'static str,
-    samples: usize,
-    p50: f64,
-    p99: f64,
-    detect_ms: f64,
-    escalations: u64,
 }
 
 fn main() {
@@ -105,7 +88,7 @@ fn main() {
         ("clonos", || FtMode::Clonos(ClonosConfig::exactly_once(SharingDepth::Full))),
         ("global-rollback", || FtMode::GlobalRollback),
     ];
-    let mut summaries = Vec::new();
+    let mut rows = Vec::new();
     for (mode, ft) in modes {
         for fault in [FaultKind::SingleKill, FaultKind::NodeCrash] {
             let mut times = Vec::new();
@@ -128,55 +111,26 @@ fn main() {
             }
             times.sort_by(f64::total_cmp);
             assert!(!times.is_empty(), "{mode}/{}: no run stabilized", fault.label());
-            summaries.push(Summary {
-                mode,
-                fault: fault.label(),
-                samples: times.len(),
-                p50: percentile(&times, 50.0),
-                p99: percentile(&times, 99.0),
-                detect_ms: detect_us_total as f64 / detect_samples.max(1) as f64 / 1_000.0,
-                escalations,
-            });
+            let detect_ms = detect_us_total as f64 / detect_samples.max(1) as f64 / 1_000.0;
+            rows.push(
+                LedgerRow::new()
+                    .text("mode", "system", mode)
+                    .text("fault", "fault", fault.label())
+                    .int("stabilized", "stabilized", times.len() as u64)
+                    .num("recovery_p50_s", "p50 s", percentile(&times, 50.0), 3)
+                    .num("recovery_p99_s", "p99 s", percentile(&times, 99.0), 3)
+                    .num("mean_detection_ms", "mean detect ms", detect_ms, 3)
+                    .int("escalations", "escalations", escalations),
+            );
         }
     }
-
-    let table: Vec<Vec<String>> = summaries
-        .iter()
-        .map(|s| {
-            vec![
-                s.mode.to_string(),
-                s.fault.to_string(),
-                format!("{}/{seeds}", s.samples),
-                format!("{:.2}s", s.p50),
-                format!("{:.2}s", s.p99),
-                format!("{:.0}ms", s.detect_ms),
-                format!("{}", s.escalations),
-            ]
-        })
-        .collect();
-    print_table(
+    Ledger::new(
+        "recovery",
+        "recovery_time",
         "Recovery time distribution (10% latency-stabilization criterion)",
-        &["system", "fault", "stabilized", "p50", "p99", "mean detect", "escalations"],
-        &table,
-    );
-
-    let json_rows: Vec<String> = summaries
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"mode\": \"{}\", \"fault\": \"{}\", \"stabilized\": {}, \
-                 \"recovery_p50_s\": {:.3}, \"recovery_p99_s\": {:.3}, \
-                 \"mean_detection_ms\": {:.3}, \"escalations\": {}}}",
-                s.mode, s.fault, s.samples, s.p50, s.p99, s.detect_ms, s.escalations
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"recovery_time\",\n  \"seeds_per_cell\": {seeds},\n  \
-         \"kill_at_s\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        KILL_AT / 1_000_000,
-        json_rows.join(",\n")
-    );
-    std::fs::write("BENCH_recovery.json", &json).expect("write BENCH_recovery.json");
-    println!("wrote BENCH_recovery.json");
+        rows,
+    )
+    .field("seeds_per_cell", Value::Int(seeds))
+    .field("kill_at_s", Value::Int(KILL_AT / 1_000_000))
+    .finish();
 }

@@ -12,23 +12,19 @@
 //! `BENCH_state.json`.
 //!
 //! Usage: `cargo run -p clonos-bench --release --bin bench_state`
-//! (`BENCH_STATE_SMOKE=1` shrinks scales to {10^4, 10^5} for CI smoke runs and writes
+//! (`BENCH_SMOKE=1` shrinks scales to {10^4, 10^5} for CI smoke runs and writes
 //! `target/bench-smoke/BENCH_state.json` instead.)
 
 // Host-time measurement is this binary's purpose (clippy.toml wall-clock
 // disallow list exempts measurement code explicitly).
 #![allow(clippy::disallowed_methods)]
 
-use clonos_bench::{print_table, write_bench_json};
+use clonos_bench::{smoke, Ledger, LedgerRow, Value};
 use clonos_engine::state::StateStore;
 use clonos_engine::{Datum, Row as DataRow};
 use clonos_sim::VirtualTime;
 use clonos_storage::{ByteWriter, SnapshotStore};
 use std::time::Instant;
-
-fn smoke() -> bool {
-    std::env::var("BENCH_STATE_SMOKE").map(|v| v == "1").unwrap_or(false)
-}
 
 /// Rough per-entry resident weight of the two-int rows below; only used to
 /// size the budget at ~10% of total state.
@@ -41,21 +37,7 @@ fn row_for(key: u64, epoch: u64) -> DataRow {
     ])
 }
 
-struct Measurement {
-    keys: u64,
-    budget: u64,
-    load_s: f64,
-    mean_shipped: f64,
-    max_shipped: u64,
-    mean_sync_us: f64,
-    segments_live: u64,
-    segment_bytes: u64,
-    faults: u64,
-    evictions: u64,
-    resident_bytes: u64,
-}
-
-fn measure(keys: u64, dirty_per_barrier: u64, barriers: u64) -> Measurement {
+fn measure(keys: u64, dirty_per_barrier: u64, barriers: u64) -> LedgerRow {
     let budget = (keys * APPROX_ENTRY_BYTES / 10).max(1024);
     let mut store = StateStore::new();
     store.enable_tiering(budget, 1 << 40);
@@ -138,19 +120,19 @@ fn measure(keys: u64, dirty_per_barrier: u64, barriers: u64) -> Measurement {
     );
 
     let stats = store.backend_stats();
-    Measurement {
-        keys,
-        budget,
-        load_s,
-        mean_shipped: shipped_total as f64 / barriers as f64,
-        max_shipped: shipped_max,
-        mean_sync_us: sync_ns_total / barriers as f64 / 1_000.0,
-        segments_live: stats.segments_live,
-        segment_bytes: stats.segment_bytes,
-        faults: stats.faults,
-        evictions: stats.evictions,
-        resident_bytes: stats.resident_bytes,
-    }
+    LedgerRow::new()
+        .int("keys", "keys", keys)
+        .int("budget_bytes", "budget B", budget)
+        .int("resident_bytes", "resident B", stats.resident_bytes)
+        .num("load_seconds", "load s", load_s, 2)
+        .num("mean_shipped_bytes", "mean ship B", shipped_total as f64 / barriers as f64, 0)
+        .int("max_shipped_bytes", "max ship B", shipped_max)
+        .num("mean_sync_us", "sync us", sync_ns_total / barriers as f64 / 1_000.0, 1)
+        .int("segments_live", "segs", stats.segments_live)
+        .int("segment_bytes", "seg B", stats.segment_bytes)
+        .int("faults", "faults", stats.faults)
+        .int("evictions", "evicts", stats.evictions)
+        .cell("verified", "verified", Value::Bool(true))
 }
 
 fn main() {
@@ -159,90 +141,32 @@ fn main() {
     } else {
         (&[100_000, 10_000_000], 10_000, 32, 2.0)
     };
-
-    let rows: Vec<Measurement> =
+    let rows: Vec<LedgerRow> =
         scales.iter().map(|&keys| measure(keys, dirty, barriers)).collect();
-
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|m| {
-            vec![
-                format!("{}", m.keys),
-                format!("{}", m.budget),
-                format!("{}", m.resident_bytes),
-                format!("{:.1}", m.load_s),
-                format!("{:.0}", m.mean_shipped),
-                format!("{}", m.max_shipped),
-                format!("{:.1}", m.mean_sync_us),
-                format!("{}", m.segments_live),
-                format!("{}", m.segment_bytes),
-                format!("{}", m.faults),
-                format!("{}", m.evictions),
-            ]
-        })
-        .collect();
-    print_table(
+    let (small, large) = (scales[0], scales[scales.len() - 1]);
+    let ratio = rows[rows.len() - 1].get("mean_shipped_bytes")
+        / rows[0].get("mean_shipped_bytes").max(1.0);
+    Ledger::new(
+        "state",
+        "state",
         "Tiered state backend: shipped bytes per barrier (fixed dirty set)",
-        &[
-            "keys",
-            "budget B",
-            "resident B",
-            "load s",
-            "mean ship B",
-            "max ship B",
-            "sync us",
-            "segs",
-            "seg B",
-            "faults",
-            "evicts",
-        ],
-        &table,
-    );
-
-    let small = rows.first().expect("two scales");
-    let large = rows.last().expect("two scales");
-    let ratio = large.mean_shipped / small.mean_shipped.max(1.0);
-    println!(
-        "\nshipped-bytes ratio {} vs {} keys at {dirty} dirty/barrier: {ratio:.2}x \
-         (ceiling {ceiling:.2}x)",
-        large.keys, small.keys
-    );
-    assert!(
+        rows,
+    )
+    .field("barriers", Value::Int(barriers))
+    .field("dirty_per_barrier", Value::Int(dirty))
+    .field("shipped_ratio_large_vs_small", Value::Num(ratio, 3))
+    .field("shipped_ratio_ceiling", Value::Num(ceiling, 2))
+    .line(format!(
+        "shipped-bytes ratio {large} vs {small} keys at {dirty} dirty/barrier: {ratio:.2}x \
+         (ceiling {ceiling:.2}x)"
+    ))
+    .gate(
         ratio <= ceiling,
-        "O(dirty) regression: {}x total state costs {ratio:.2}x shipped bytes per barrier \
-         (ceiling {ceiling:.2}x)",
-        large.keys / small.keys
-    );
-
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|m| {
-            format!(
-                "    {{\"keys\": {}, \"budget_bytes\": {}, \"resident_bytes\": {}, \
-                 \"load_seconds\": {:.2}, \"mean_shipped_bytes\": {:.0}, \
-                 \"max_shipped_bytes\": {}, \"mean_sync_us\": {:.1}, \
-                 \"segments_live\": {}, \"segment_bytes\": {}, \"faults\": {}, \
-                 \"evictions\": {}, \"verified\": true}}",
-                m.keys,
-                m.budget,
-                m.resident_bytes,
-                m.load_s,
-                m.mean_shipped,
-                m.max_shipped,
-                m.mean_sync_us,
-                m.segments_live,
-                m.segment_bytes,
-                m.faults,
-                m.evictions
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"state\",\n  \"smoke\": {},\n  \"barriers\": {barriers},\n  \
-         \"dirty_per_barrier\": {dirty},\n  \"shipped_ratio_large_vs_small\": {ratio:.3},\n  \
-         \"shipped_ratio_ceiling\": {ceiling:.2},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        smoke(),
-        json_rows.join(",\n")
-    );
-    write_bench_json("BENCH_state.json", smoke(), &json);
+        format!(
+            "O(dirty) regression: {}x total state costs {ratio:.2}x shipped bytes per barrier \
+             (ceiling {ceiling:.2}x)",
+            large / small
+        ),
+    )
+    .finish();
 }

@@ -1,6 +1,6 @@
 //! Shared harness utilities for the figure/table-regenerating binaries and
 //! the Criterion benchmarks: configuration factories, the synthetic workload
-//! of §7.2, and plain-text table/series printing.
+//! of §7.2, plain-text table/series printing, and the `BENCH_*.json` ledger.
 
 use clonos::config::{ClonosConfig, SharingDepth};
 use clonos_engine::operator::OpCtx;
@@ -76,14 +76,18 @@ pub fn populate_for(runner: &mut JobRunner, seed: u64, p: usize, rate: u64, secs
                 continue;
             }
             let take = (need_n - have[i]).min(rows.len());
-            let parts = runner.cluster.topic(topic).map(|t| t.num_partitions()).unwrap_or(1);
-            for part in 0..parts {
-                let slice: Vec<Row> =
-                    rows[..take].iter().skip(part).step_by(parts).cloned().collect();
-                runner.populate(topic, part, slice);
-            }
+            populate_round_robin(runner, topic, &rows[..take]);
             have[i] += take;
         }
+    }
+}
+
+/// Deal `rows` round-robin over the partitions of `topic`.
+pub fn populate_round_robin(runner: &mut JobRunner, topic: &str, rows: &[Row]) {
+    let parts = runner.cluster.topic(topic).map(|t| t.num_partitions()).unwrap_or(1);
+    for p in 0..parts {
+        let slice: Vec<Row> = rows.iter().skip(p).step_by(parts).cloned().collect();
+        runner.populate(topic, p, slice);
     }
 }
 
@@ -176,12 +180,7 @@ pub fn run_synthetic(
     let mut cfg = EngineConfig::default().with_seed(seed).with_ft(ft);
     engine_tweak(&mut cfg);
     let mut runner = JobRunner::new(job, cfg);
-    let rows = synthetic_rows(events, 100);
-    let parts = runner.cluster.topic("in").map(|t| t.num_partitions()).unwrap_or(1);
-    for p in 0..parts {
-        let slice: Vec<Row> = rows.iter().skip(p).step_by(parts).cloned().collect();
-        runner.populate("in", p, slice);
-    }
+    populate_round_robin(&mut runner, "in", &synthetic_rows(events, 100));
     let mut plan = FailurePlan::none();
     for &(at, t) in kills {
         plan = plan.kill_at(VirtualTime(at), t);
@@ -246,11 +245,201 @@ pub fn mean_rate(report: &RunReport, from_s: u64, to_s: u64) -> f64 {
     }
 }
 
-/// Write a bench's JSON ledger. A full run writes `name` (a committed
-/// `BENCH_*.json`) in the working directory; a smoke run writes
-/// `target/bench-smoke/<name>` so it never overwrites committed figures.
-pub fn write_bench_json(name: &str, smoke: bool, json: &str) {
-    let path = if smoke {
+/// Nearest-rank percentile (`p` in percent) of non-empty sorted samples,
+/// the rule `LatencyRecorder::percentile` uses.
+pub fn percentile<T: Copy>(sorted: &[T], p: f64) -> T {
+    sorted[((p / 100.0) * (sorted.len() - 1) as f64).round() as usize]
+}
+
+// ---------------------------------------------------------------------
+// BENCH_*.json ledgers
+// ---------------------------------------------------------------------
+
+/// `BENCH_SMOKE=1` selects a smoke run: bins shrink whatever costs real
+/// time, and the ledger goes to `target/bench-smoke/` instead of over the
+/// committed `BENCH_*.json`.
+pub fn smoke() -> bool {
+    std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1")
+}
+
+/// CPUs the OS will schedule this process on.
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+}
+
+/// `git describe --always --dirty` of the working directory, or `unknown`.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// One ledger value, formatted once for both the text table and the JSON
+/// file.
+#[derive(Clone, Debug)]
+pub enum Value {
+    Int(u64),
+    /// A float and its decimal places; a non-finite one is `null` (`-` in
+    /// the table).
+    Num(f64, usize),
+    Str(String),
+    Bool(bool),
+    Obj(Vec<(&'static str, Value)>),
+}
+
+impl Value {
+    fn json(&self) -> String {
+        match self {
+            Value::Num(x, _) if !x.is_finite() => "null".into(),
+            Value::Str(s) => format!("{s:?}"),
+            Value::Obj(fields) => json_object(fields.iter().map(|(k, v)| (*k, v))),
+            v => v.text(),
+        }
+    }
+
+    fn text(&self) -> String {
+        match self {
+            Value::Int(n) => n.to_string(),
+            Value::Num(x, _) if !x.is_finite() => "-".into(),
+            Value::Num(x, d) => format!("{x:.d$}"),
+            Value::Str(s) => s.clone(),
+            Value::Bool(b) => b.to_string(),
+            Value::Obj(_) => self.json(),
+        }
+    }
+}
+
+/// `{"key": value, ...}` on one line.
+fn json_object<'a>(fields: impl Iterator<Item = (&'a str, &'a Value)>) -> String {
+    let body: Vec<String> = fields.map(|(k, v)| format!("\"{k}\": {}", v.json())).collect();
+    format!("{{{}}}", body.join(", "))
+}
+
+/// One measured configuration: a table row and a JSON object in `rows[]`.
+/// Each cell is named once: JSON key, column header, value.
+#[derive(Clone, Debug, Default)]
+pub struct LedgerRow(Vec<(&'static str, &'static str, Value)>);
+
+impl LedgerRow {
+    pub fn new() -> LedgerRow {
+        LedgerRow::default()
+    }
+
+    pub fn cell(mut self, key: &'static str, header: &'static str, value: Value) -> LedgerRow {
+        self.0.push((key, header, value));
+        self
+    }
+
+    pub fn int(self, key: &'static str, header: &'static str, v: u64) -> LedgerRow {
+        self.cell(key, header, Value::Int(v))
+    }
+
+    pub fn num(self, key: &'static str, header: &'static str, v: f64, dp: usize) -> LedgerRow {
+        self.cell(key, header, Value::Num(v, dp))
+    }
+
+    pub fn text(self, key: &'static str, header: &'static str, v: &str) -> LedgerRow {
+        self.cell(key, header, Value::Str(v.to_string()))
+    }
+
+    /// The number under `key` (NaN if it is not a number).
+    pub fn get(&self, key: &str) -> f64 {
+        match self.0.iter().find(|(k, _, _)| *k == key) {
+            Some((_, _, Value::Int(n))) => *n as f64,
+            Some((_, _, Value::Num(x, _))) => *x,
+            Some(_) => f64::NAN,
+            None => panic!("ledger row has no `{key}`"),
+        }
+    }
+}
+
+/// A bench's ledger: a provenance header (`bench`, `smoke`, `commit`,
+/// `host_cpus`), the bin's config and summary fields, and its rows. `finish`
+/// prints the table and summary lines, fails on any gate that did not hold,
+/// and writes `BENCH_<stem>.json` — in the working directory for a full
+/// run, under `target/bench-smoke/` for a smoke run.
+pub struct Ledger {
+    file: String,
+    fields: Vec<(&'static str, Value)>,
+    title: &'static str,
+    rows: Vec<LedgerRow>,
+    lines: Vec<String>,
+    failures: Vec<String>,
+}
+
+impl Ledger {
+    pub fn new(stem: &str, bench: &str, title: &'static str, rows: Vec<LedgerRow>) -> Ledger {
+        let fields = vec![
+            ("bench", Value::Str(bench.into())),
+            ("smoke", Value::Bool(smoke())),
+            ("commit", Value::Str(commit())),
+            ("host_cpus", Value::Int(host_cpus() as u64)),
+        ];
+        let file = format!("BENCH_{stem}.json");
+        Ledger { file, fields, title, rows, lines: Vec::new(), failures: Vec::new() }
+    }
+
+    /// A config or summary field, written after the provenance header.
+    pub fn field(mut self, key: &'static str, value: Value) -> Ledger {
+        self.fields.push((key, value));
+        self
+    }
+
+    /// A summary line printed under the table.
+    pub fn line(mut self, line: impl Into<String>) -> Ledger {
+        self.lines.push(line.into());
+        self
+    }
+
+    /// An enforced check: `finish` panics with `failure` (after printing,
+    /// before writing) unless `ok`.
+    pub fn gate(mut self, ok: bool, failure: impl Into<String>) -> Ledger {
+        if !ok {
+            self.failures.push(failure.into());
+        }
+        self
+    }
+
+    /// Print the table and summary lines, enforce the gates, write the file.
+    pub fn finish(self) {
+        let header: Vec<&str> =
+            self.rows.first().map(|r| r.0.iter().map(|c| c.1).collect()).unwrap_or_default();
+        let table: Vec<Vec<String>> =
+            self.rows.iter().map(|r| r.0.iter().map(|c| c.2.text()).collect()).collect();
+        print_table(self.title, &header, &table);
+        if !self.lines.is_empty() {
+            println!();
+        }
+        for line in &self.lines {
+            println!("{line}");
+        }
+        assert!(self.failures.is_empty(), "{}", self.failures.join("; "));
+
+        let mut out = String::from("{\n");
+        for (key, value) in &self.fields {
+            out += &format!("  \"{key}\": {},\n", value.json());
+        }
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|r| format!("    {}", json_object(r.0.iter().map(|(k, _, v)| (*k, v)))))
+            .collect();
+        out += &format!("  \"rows\": [\n{}\n  ]\n}}\n", rows.join(",\n"));
+        write_bench_json(&self.file, &out);
+    }
+}
+
+/// Write a ledger file: `name` in the working directory for a full run,
+/// `target/bench-smoke/<name>` for a smoke run, so smoke runs never
+/// overwrite committed figures.
+fn write_bench_json(name: &str, json: &str) {
+    let path = if smoke() {
         let dir = std::path::Path::new("target/bench-smoke");
         std::fs::create_dir_all(dir).expect("create target/bench-smoke");
         dir.join(name)

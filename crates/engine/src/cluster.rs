@@ -58,13 +58,10 @@ pub struct Cluster {
     gens: BTreeMap<TaskId, u32>,
     pub(crate) jm: JobManager,
     depth: u32,
-    /// Encoder counters of retired task incarnations (killed, rolled back,
-    /// or replaced): folded in before the `Task` object is dropped so
-    /// `checkpoint_stats` reflects the whole run, not just live tasks.
-    retired_ckpt: crate::metrics::CheckpointStats,
-    /// Tiered-backend counters of retired incarnations, same lifecycle as
-    /// `retired_ckpt`.
-    retired_backend: crate::metrics::StateBackendStats,
+    /// Counters of retired task incarnations (killed, rolled back, or
+    /// replaced): folded in before the `Task` object is dropped so the
+    /// job-wide aggregates reflect the whole run, not just live tasks.
+    retired: TaskCounters,
     /// Fatal task errors (should stay empty in correct runs).
     pub errors: Vec<String>,
 }
@@ -91,8 +88,7 @@ impl Cluster {
             gens: BTreeMap::new(),
             jm,
             depth,
-            retired_ckpt: crate::metrics::CheckpointStats::default(),
-            retired_backend: crate::metrics::StateBackendStats::default(),
+            retired: TaskCounters::default(),
             errors: Vec::new(),
             config,
         };
@@ -256,7 +252,7 @@ impl Cluster {
             return;
         }
         let old = slot.take();
-        self.retire_ckpt(old);
+        self.retire(old);
         self.sim.drop_events_for(id);
         let now = self.sim.now();
         self.metrics.event(now, format!("FAILURE task {id}"));
@@ -540,7 +536,7 @@ impl Cluster {
         let gens = self.gens.clone();
         replacement.set_neighbor_gens(|t| gens.get(&t).copied().unwrap_or(0));
         let old = self.tasks.insert(task, Some(replacement)).flatten();
-        self.retire_ckpt(old);
+        self.retire(old);
         self.jm.recovering.insert(task);
         let now = self.sim.now();
         self.metrics.event(now, format!("standby/replacement for task {task} installed"));
@@ -807,7 +803,7 @@ impl Cluster {
         let ids = self.jm.tasks.clone();
         for id in ids {
             let old = self.tasks.insert(id, None).flatten();
-            self.retire_ckpt(old);
+            self.retire(old);
             self.sim.drop_events_for(id);
         }
         self.metrics.event(self.sim.now(), "global rollback: cancelling all tasks".to_string());
@@ -900,20 +896,26 @@ impl Cluster {
             .collect()
     }
 
-    /// Aggregate in-flight log statistics across tasks (§7.5).
-    pub fn inflight_stats(&self) -> clonos::inflight::InFlightStats {
-        let mut total = clonos::inflight::InFlightStats::default();
+    /// Per-task counters summed over live and retired incarnations.
+    fn task_counters(&self) -> TaskCounters {
+        let mut total = self.retired;
         for t in self.tasks.values().flatten() {
-            if let Some(s) = t.inflight_stats() {
-                total.buffers_logged += s.buffers_logged;
-                total.buffers_spilled += s.buffers_spilled;
-                total.spill_io = total.spill_io + s.spill_io;
-                total.replay_io = total.replay_io + s.replay_io;
-                total.blocked_appends += s.blocked_appends;
-                total.peak_resident_bytes += s.peak_resident_bytes;
-            }
+            total.absorb(t);
         }
         total
+    }
+
+    /// Fold a retired incarnation's counters into the job-wide accumulator
+    /// before the `Task` object is dropped.
+    fn retire(&mut self, old: Option<Task>) {
+        if let Some(t) = old {
+            self.retired.absorb(&t);
+        }
+    }
+
+    /// Aggregate in-flight log statistics across tasks (§7.5).
+    pub fn inflight_stats(&self) -> clonos::inflight::InFlightStats {
+        self.task_counters().inflight
     }
 
     /// Sum of in-flight log bytes across tasks (memory accounting, §7.5).
@@ -932,80 +934,88 @@ impl Cluster {
 
     /// Aggregate causal-log statistics.
     pub fn log_stats(&self) -> clonos::causal_log::CausalLogStats {
-        let mut total = clonos::causal_log::CausalLogStats::default();
-        for t in self.tasks.values().flatten() {
-            let s = t.log.stats;
-            total.determinants_recorded += s.determinants_recorded;
-            total.delta_bytes_shipped += s.delta_bytes_shipped;
-            total.delta_entries_shipped += s.delta_entries_shipped;
-            total.deltas_ingested += s.deltas_ingested;
-            total.entries_ingested += s.entries_ingested;
-            total.order_entries_compressed += s.order_entries_compressed;
-            total.entries_encoded += s.entries_encoded;
-            total.entries_reencoded += s.entries_reencoded;
-            total.delta_bytes_memcpy += s.delta_bytes_memcpy;
-        }
-        total
+        self.task_counters().log
     }
 
     /// Aggregate routing hot-path counters.
     pub fn routing_stats(&self) -> crate::metrics::RoutingStats {
-        let mut total = crate::metrics::RoutingStats::default();
-        for t in self.tasks.values().flatten() {
-            total.records_routed += t.routing.records_routed;
-            total.channel_writes += t.routing.channel_writes;
-            total.route_encodes += t.routing.route_encodes;
-            total.record_clones += t.routing.record_clones;
-        }
-        total
-    }
-
-    /// Fold a retired incarnation's encoder counters into the job-wide
-    /// accumulator before the `Task` object is dropped.
-    fn retire_ckpt(&mut self, old: Option<Task>) {
-        let Some(t) = old else { return };
-        self.retired_ckpt.absorb(&t.ckpt);
-        self.retired_backend.absorb(&t.backend_stats());
+        self.task_counters().routing
     }
 
     /// Aggregate incremental-checkpoint counters: per-task encoder stats
     /// plus the snapshot store's reconstruction work and the standby
     /// manager's delta shipping.
     pub fn checkpoint_stats(&self) -> crate::metrics::CheckpointStats {
-        let mut total = self.retired_ckpt;
-        for t in self.tasks.values().flatten() {
-            total.absorb(&t.ckpt);
-        }
+        let mut total = self.task_counters().ckpt;
         total.reconstructions = self.snapshots.reconstructions();
         total.reconstruct_us = self.snapshots.reconstruct_us();
         total.delta_dispatches = self.jm.standby.delta_dispatches();
         total
     }
 
-    /// Aggregate tiered-state-backend counters across live and retired task
-    /// incarnations (all zero when `state_memory_budget` is 0).
+    /// Aggregate tiered-state-backend counters (all zero when
+    /// `state_memory_budget` is 0).
     pub fn state_backend_stats(&self) -> crate::metrics::StateBackendStats {
-        let mut total = self.retired_backend;
-        for t in self.tasks.values().flatten() {
-            total.absorb(&t.backend_stats());
-        }
-        total
+        self.task_counters().backend
     }
 
     /// Timestamp-service call/determinant counters (benchmark E9).
     pub fn ts_service_counts(&self) -> (u64, u64) {
-        let mut calls = 0;
-        let mut dets = 0;
-        for t in self.tasks.values().flatten() {
-            calls += t.services.ts_calls;
-            dets += t.services.ts_determinants;
-        }
-        (calls, dets)
+        let c = self.task_counters();
+        (c.ts_calls, c.ts_dets)
     }
 
     pub fn snapshot_of(&mut self, cp: u64, task: TaskId) -> Option<TaskSnapshot> {
         let now = self.sim.now();
         let (bytes, _) = self.snapshots.get(now, cp, task)?;
         TaskSnapshot::decode(&bytes).ok()
+    }
+}
+
+/// The counters every task incarnation keeps, summed job-wide. Live tasks
+/// and retired incarnations fold in the same way, so no aggregate drops
+/// what a killed task did.
+#[derive(Clone, Copy, Default)]
+struct TaskCounters {
+    ckpt: crate::metrics::CheckpointStats,
+    backend: crate::metrics::StateBackendStats,
+    log: clonos::causal_log::CausalLogStats,
+    routing: crate::metrics::RoutingStats,
+    inflight: clonos::inflight::InFlightStats,
+    ts_calls: u64,
+    ts_dets: u64,
+}
+
+impl TaskCounters {
+    fn absorb(&mut self, t: &Task) {
+        self.ckpt.absorb(&t.ckpt);
+        self.backend.absorb(&t.backend_stats());
+        let l = t.log.stats;
+        let total = &mut self.log;
+        total.determinants_recorded += l.determinants_recorded;
+        total.delta_bytes_shipped += l.delta_bytes_shipped;
+        total.delta_entries_shipped += l.delta_entries_shipped;
+        total.deltas_ingested += l.deltas_ingested;
+        total.entries_ingested += l.entries_ingested;
+        total.order_entries_compressed += l.order_entries_compressed;
+        total.entries_encoded += l.entries_encoded;
+        total.entries_reencoded += l.entries_reencoded;
+        total.delta_bytes_memcpy += l.delta_bytes_memcpy;
+        let r = &mut self.routing;
+        r.records_routed += t.routing.records_routed;
+        r.channel_writes += t.routing.channel_writes;
+        r.route_encodes += t.routing.route_encodes;
+        r.record_clones += t.routing.record_clones;
+        if let Some(s) = t.inflight_stats() {
+            let total = &mut self.inflight;
+            total.buffers_logged += s.buffers_logged;
+            total.buffers_spilled += s.buffers_spilled;
+            total.spill_io = total.spill_io + s.spill_io;
+            total.replay_io = total.replay_io + s.replay_io;
+            total.blocked_appends += s.blocked_appends;
+            total.peak_resident_bytes += s.peak_resident_bytes;
+        }
+        self.ts_calls += t.services.ts_calls;
+        self.ts_dets += t.services.ts_determinants;
     }
 }

@@ -256,7 +256,6 @@ struct OutChannel {
 struct FtFlags {
     inflight: bool,
     causal: bool,
-    skip_dedup: bool,
 }
 
 /// An unaligned checkpoint in progress at a non-source task: the state was
@@ -366,20 +365,14 @@ impl Task {
             FtMode::Clonos(c) => {
                 let dsd = c.effective_dsd(graph_depth);
                 let flags = match c.guarantee {
-                    GuaranteeMode::AtMostOnce => {
-                        FtFlags { inflight: false, causal: false, skip_dedup: false }
-                    }
-                    GuaranteeMode::AtLeastOnce => {
-                        FtFlags { inflight: true, causal: false, skip_dedup: false }
-                    }
-                    GuaranteeMode::ExactlyOnce => {
-                        FtFlags { inflight: true, causal: true, skip_dedup: true }
-                    }
+                    GuaranteeMode::AtMostOnce => FtFlags { inflight: false, causal: false },
+                    GuaranteeMode::AtLeastOnce => FtFlags { inflight: true, causal: false },
+                    GuaranteeMode::ExactlyOnce => FtFlags { inflight: true, causal: true },
                 };
                 (flags, dsd, c.timestamp_cache_us, c.inflight_pool_buffers, c.spill)
             }
             _ => (
-                FtFlags { inflight: false, causal: false, skip_dedup: false },
+                FtFlags { inflight: false, causal: false },
                 0,
                 1_000,
                 0,
@@ -2016,7 +2009,7 @@ impl Task {
         self.epoch = resume_cp + 1;
         self.step = 0;
         for (ch, n) in skip {
-            if self.flags.skip_dedup {
+            if self.flags.causal {
                 if let Some(s) = self.skip.get_mut(ch as usize) {
                     *s = n;
                 }

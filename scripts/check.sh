@@ -32,18 +32,18 @@ CHAOS_SEEDS=25 cargo test --release -q -p clonos-integration --test chaos_sweep
 echo "== conformance: causal traces vs results/causal_spec.json (25 seeds x 4 FT modes, release) =="
 CHAOS_SEEDS=25 cargo test --release -q -p clonos-integration --test causal_conformance
 
-# Smoke stages write their JSON under target/bench-smoke/, never over the
-# committed BENCH_*.json files.
+# Smoke stages (BENCH_SMOKE=1) write their JSON under target/bench-smoke/,
+# never over the committed BENCH_*.json files.
 echo "== bench: checkpoint smoke (full-vs-delta barrier encoding) =="
-BENCH_CHECKPOINT_SMOKE=1 cargo run --release -q -p clonos-bench --bin bench_checkpoint
+BENCH_SMOKE=1 cargo run --release -q -p clonos-bench --bin bench_checkpoint
 
 echo "== bench: throughput smoke (sharded actor runtime vs sim scheduler) =="
-BENCH_THROUGHPUT_SMOKE=1 cargo run --release -q -p clonos-bench --bin bench_throughput
+BENCH_SMOKE=1 cargo run --release -q -p clonos-bench --bin bench_throughput
 
-echo "== bench: barrier smoke (aligned vs unaligned under backpressure) =="
-BENCH_BARRIER_SMOKE=1 cargo run --release -q -p clonos-bench --bin bench_barrier
+echo "== bench: barrier (aligned vs unaligned under backpressure, full horizon, >=5x p99 floor) =="
+BENCH_SMOKE=1 cargo run --release -q -p clonos-bench --bin bench_barrier
 
 echo "== bench: state smoke (tiered backend, O(dirty) shipped bytes) =="
-BENCH_STATE_SMOKE=1 cargo run --release -q -p clonos-bench --bin bench_state
+BENCH_SMOKE=1 cargo run --release -q -p clonos-bench --bin bench_state
 
 echo "== OK =="
